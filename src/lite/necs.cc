@@ -93,14 +93,6 @@ const QuantizedNecs* NecsModel::Quantized(QuantBackend backend) const {
   return slot.get();
 }
 
-void NecsModel::AdoptQuantizedTwin(std::unique_ptr<QuantizedNecs> twin) const {
-  LITE_CHECK(twin != nullptr) << "AdoptQuantizedTwin(nullptr)";
-  std::lock_guard<std::mutex> lock(twin_mu_);
-  std::unique_ptr<QuantizedNecs>& slot =
-      twin->mode() == QuantBackend::kInt8 ? twin_int8_ : twin_fp16_;
-  slot = std::move(twin);
-}
-
 VarPtr NecsModel::AssembleInput(const StageInstance& inst, const VarPtr& h_code,
                                 const VarPtr& h_dag) const {
   VarPtr d = Input(Tensor::FromVector(inst.data_feat));

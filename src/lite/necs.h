@@ -114,14 +114,12 @@ class NecsModel : public Module, public StageEstimator {
   void InvalidateCache() const;
 
   /// Lazily-built quantized twin for `backend` (kInt8 or kFp16), derived
-  /// from the current FP32 weights and cached until InvalidateCache().
-  /// Thread-safe; the returned twin stays valid until the next parameter
-  /// change on this model.
+  /// from the current FP32 weights and cached until InvalidateCache(). This
+  /// is the only source of twins: snapshots carry fp32 weights, and
+  /// quantizing them is deterministic, so a loaded model's twin is bit
+  /// for bit the trained model's. Thread-safe; the returned twin stays
+  /// valid until the next parameter change on this model.
   const QuantizedNecs* Quantized(QuantBackend backend) const;
-
-  /// Installs a pre-built twin in the slot matching its mode (used by the
-  /// QuantizedSnapshot loader, which ships quantized weights directly).
-  void AdoptQuantizedTwin(std::unique_ptr<QuantizedNecs> twin) const;
 
   /// Replaces the token-embedding table with pretrained vectors (rows must
   /// match the token vocabulary, columns the configured emb_dim). Call

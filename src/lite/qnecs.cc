@@ -40,15 +40,6 @@ QuantizedNecs::QuantizedNecs(const NecsModel& model, QuantBackend mode)
   mlp_ = QuantizedMlp::From(*model.mlp_, mode);
 }
 
-QuantizedNecs::QuantizedNecs(const NecsModel& model, QuantBackend mode,
-                             QuantizedTextCnn cnn, QuantizedMlp mlp)
-    : owner_(&model), mode_(mode), cnn_(std::move(cnn)), mlp_(std::move(mlp)) {
-  LITE_CHECK(mode != QuantBackend::kExactFp32) << "QuantizedNecs: exact mode";
-  LITE_CHECK(mlp_.input_dim() == model.mlp_->input_dim())
-      << "adopted quantized MLP input " << mlp_.input_dim() << " != model "
-      << model.mlp_->input_dim();
-}
-
 std::pair<std::vector<float>, std::vector<float>>
 QuantizedNecs::ComputeEncodings(const StageInstance& inst) const {
   const NecsConfig& config = owner_->config_;

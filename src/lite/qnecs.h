@@ -35,14 +35,8 @@ class QuantizedNecs {
   /// Quantizes `model`'s current weights for `mode` (kInt8 or kFp16).
   /// `model` must outlive the twin (NecsModel owns its twins).
   QuantizedNecs(const NecsModel& model, QuantBackend mode);
-  /// Adopts pre-built quantized weights (the QuantizedSnapshot loader);
-  /// shapes must match `model`'s configuration.
-  QuantizedNecs(const NecsModel& model, QuantBackend mode, QuantizedTextCnn cnn,
-                QuantizedMlp mlp);
 
   QuantBackend mode() const { return mode_; }
-  const QuantizedTextCnn& cnn() const { return cnn_; }
-  const QuantizedMlp& mlp() const { return mlp_; }
 
   /// Quantized analog of NecsModel::PredictBatch (same row assembly, same
   /// cache-key discipline, quantized tower). Thread-safe.

@@ -1,9 +1,7 @@
 #include "lite/snapshot.h"
 
-#include <chrono>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -11,6 +9,8 @@
 
 #include "lite/features.h"
 #include "ml/serialization.h"
+#include "modelplane/blob.h"
+#include "modelplane/wire.h"
 #include "nn/module.h"
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
@@ -21,15 +21,9 @@ namespace lite {
 namespace {
 constexpr char kMetaMagic[] = "litesnapshot";
 constexpr char kMetaVersion[] = "v1";
-
-uint64_t Fnv1a(const std::string& s, uint64_t h) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-constexpr uint64_t kFnvInit = 1469598103934665603ull;
+/// The manifest version a snapshot file is checksummed at. Plane versions
+/// belong to a running plane, not to the bytes on disk.
+constexpr uint64_t kFileManifestVersion = 0;
 
 /// Everything the writers need, decoupled from whether the source is a
 /// LiteSystem (offline training) or a LoadedLiteModel (a served snapshot
@@ -47,39 +41,32 @@ struct SnapshotView {
   const CandidateGenerator* acg = nullptr;
 };
 
-/// Renders the full ordered part list — data parts first, meta.txt (the
-/// commit marker, carrying a content hash line per data part) strictly
-/// last. Returns false when any component writer fails.
-bool RenderSnapshotParts(
-    const SnapshotView& v,
-    std::vector<std::pair<std::string, std::string>>* parts) {
-  parts->clear();
-  std::vector<std::pair<std::string, uint64_t>> part_hashes;
-  auto add = [&](const std::string& name, const std::string& bytes) {
-    part_hashes.emplace_back(name, Fnv1a(bytes, kFnvInit));
-    parts->emplace_back(name, bytes);
-  };
+/// Renders every part of the snapshot as a named blob. Returns false when
+/// any component writer fails.
+bool RenderSnapshotBlobs(const SnapshotView& v,
+                         std::map<std::string, std::string>* blobs) {
+  blobs->clear();
   {
     std::ostringstream out;
     v.vocab->Serialize(&out);
     if (!out) return false;
-    add("vocab.txt", out.str());
+    (*blobs)["vocab.txt"] = out.str();
   }
   {
     std::ostringstream out;
     v.op_vocab->Serialize(&out);
     if (!out) return false;
-    add("opvocab.txt", out.str());
+    (*blobs)["opvocab.txt"] = out.str();
   }
   for (size_t i = 0; i < v.members.size(); ++i) {
     std::ostringstream out;
     if (!SerializeParams(v.members[i], &out)) return false;
-    add("necs_" + std::to_string(i) + ".txt", out.str());
+    (*blobs)["necs_" + std::to_string(i) + ".txt"] = out.str();
   }
   if (!v.stage_head.empty()) {
     std::ostringstream out;
     if (!SerializeParams(v.stage_head, &out)) return false;
-    add("stagehead.txt", out.str());
+    (*blobs)["stagehead.txt"] = out.str();
   }
   {
     std::ostringstream out;
@@ -89,7 +76,7 @@ bool RenderSnapshotParts(
     out << "\n";
     for (const auto& f : v.acg->forests()) SerializeForest(f, &out);
     if (!out) return false;
-    add("acg.txt", out.str());
+    (*blobs)["acg.txt"] = out.str();
   }
   {
     std::ostringstream meta;
@@ -112,45 +99,8 @@ bool RenderSnapshotParts(
       // never look for stagehead.txt) — forward compatible by design.
       meta << "stagehead 1\n";
     }
-    // Per-part content digests (FNV-1a 64, the same hash the model plane
-    // uses for its blob manifests). A loader verifies each part it READS
-    // against its hash line and rejects a mixed-version directory as a
-    // whole; parts it does not read (a hand-edited `stagehead 0` flag)
-    // stay unverified, and older loaders skip the keys entirely — the
-    // meta-editability contract is preserved.
-    for (const auto& [name, hash] : part_hashes) {
-      meta << "part " << name << " " << hash << "\n";
-    }
     if (!meta) return false;
-    parts->emplace_back("meta.txt", meta.str());
-  }
-  return true;
-}
-
-void NoteSaveFailed() {
-  obs::MetricsRegistry::Global()
-      .GetCounter("lite_snapshot_save_failed_total")
-      ->Inc();
-}
-
-/// Stage-all-then-publish over util/atomic_file.h: every part is written
-/// and fsync-flushed to its temp first; only when all temps verified are
-/// they renamed into place, commit marker (meta.txt, last element) last.
-bool WritePartsAtomically(
-    const std::vector<std::pair<std::string, std::string>>& parts,
-    const std::string& dir) {
-  std::vector<std::unique_ptr<AtomicFileWriter>> writers;
-  writers.reserve(parts.size());
-  for (const auto& [name, bytes] : parts) {
-    auto w = std::make_unique<AtomicFileWriter>(dir + "/" + name);
-    if (!w->ok()) return false;
-    w->stream().write(bytes.data(),
-                      static_cast<std::streamsize>(bytes.size()));
-    if (!w->Stage()) return false;
-    writers.push_back(std::move(w));
-  }
-  for (auto& w : writers) {
-    if (!w->Publish()) return false;
+    (*blobs)["meta.txt"] = meta.str();
   }
   return true;
 }
@@ -180,31 +130,42 @@ bool ViewOfSystem(const LiteSystem& system, SnapshotView* v) {
 }  // namespace
 
 bool SaveSnapshot(const LiteSystem& system, const std::string& dir) {
-  SnapshotView v;
-  std::vector<std::pair<std::string, std::string>> parts;
-  if (!ViewOfSystem(system, &v) || !RenderSnapshotParts(v, &parts) ||
-      !WritePartsAtomically(parts, dir)) {
-    NoteSaveFailed();
+  std::map<std::string, std::string> blobs;
+  if (!EncodeSnapshotBlobs(system, &blobs) || !WriteSnapshotBlobs(blobs, dir)) {
+    obs::MetricsRegistry::Global()
+        .GetCounter("lite_snapshot_save_failed_total")
+        ->Inc();
     return false;
   }
   return true;
 }
 
+bool WriteSnapshotBlobs(const std::map<std::string, std::string>& blobs,
+                        const std::string& dir) {
+  std::vector<modelplane::Blob> list;
+  list.reserve(blobs.size());
+  for (const auto& [key, bytes] : blobs) list.push_back({key, bytes});
+  std::string file;
+  if (!modelplane::EncodeContainer(
+          modelplane::BuildManifest(kFileManifestVersion, blobs), list,
+          &file)) {
+    return false;
+  }
+  AtomicFileWriter w(dir + "/" + kSnapshotFile);
+  if (!w.ok()) return false;
+  w.stream().write(file.data(), static_cast<std::streamsize>(file.size()));
+  return w.Commit();
+}
+
 bool SnapshotExists(const std::string& dir) {
-  std::ifstream meta(dir + "/meta.txt");
-  return static_cast<bool>(meta);
+  std::ifstream file(dir + "/" + kSnapshotFile);
+  return static_cast<bool>(file);
 }
 
 bool EncodeSnapshotBlobs(const LiteSystem& system,
                          std::map<std::string, std::string>* blobs) {
   SnapshotView v;
-  std::vector<std::pair<std::string, std::string>> parts;
-  if (!ViewOfSystem(system, &v) || !RenderSnapshotParts(v, &parts)) {
-    return false;
-  }
-  blobs->clear();
-  for (auto& [name, bytes] : parts) (*blobs)[name] = std::move(bytes);
-  return true;
+  return ViewOfSystem(system, &v) && RenderSnapshotBlobs(v, blobs);
 }
 
 bool LoadedLiteModel::EncodeBlobs(
@@ -220,56 +181,57 @@ bool LoadedLiteModel::EncodeBlobs(
   for (const auto& m : models_) v.members.push_back(m->Params());
   if (stage_head_ != nullptr) v.stage_head = stage_head_->Params();
   v.acg = &acg_;
-  std::vector<std::pair<std::string, std::string>> parts;
-  if (!RenderSnapshotParts(v, &parts)) return false;
-  blobs->clear();
-  for (auto& [name, bytes] : parts) (*blobs)[name] = std::move(bytes);
-  return true;
+  return RenderSnapshotBlobs(v, blobs);
 }
 
 std::unique_ptr<LoadedLiteModel> LoadedLiteModel::Load(
     const std::string& dir, const spark::SparkRunner* runner) {
-  return LoadFromSource(
-      [&dir](const std::string& name, std::string* bytes) {
-        std::ifstream in(dir + "/" + name, std::ios::binary);
-        if (!in) return false;
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        *bytes = ss.str();
-        return true;
-      },
-      runner);
+  const std::string path = dir + "/" + kSnapshotFile;
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return nullptr;  // no snapshot here (yet).
+  const std::streamoff size = in.tellg();
+  if (size < 0) return nullptr;
+  std::string file(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(file.data(), size)) return nullptr;
+  modelplane::Manifest manifest;
+  std::vector<modelplane::Blob> list;
+  std::string why = "trailing bytes after the container";
+  size_t pos = 0;
+  if (!modelplane::DecodeContainer(file, &pos, kFileManifestVersion,
+                                   modelplane::BlobCheck::kComplete,
+                                   &manifest, &list, &why) ||
+      pos != file.size()) {
+    LITE_WARN << "snapshot '" << path << "' rejected whole: " << why;
+    return nullptr;
+  }
+  std::map<std::string, std::string> blobs;
+  for (modelplane::Blob& b : list) {
+    blobs.emplace(std::move(b.key), std::move(b.bytes));
+  }
+  return LoadFromBlobs(blobs, runner);
 }
 
 std::unique_ptr<LoadedLiteModel> LoadedLiteModel::LoadFromBlobs(
     const std::map<std::string, std::string>& blobs,
     const spark::SparkRunner* runner) {
-  return LoadFromSource(
-      [&blobs](const std::string& name, std::string* bytes) {
-        auto it = blobs.find(name);
-        if (it == blobs.end()) return false;
-        *bytes = it->second;
-        return true;
-      },
-      runner);
-}
-
-std::unique_ptr<LoadedLiteModel> LoadedLiteModel::LoadFromSource(
-    const SnapshotSource& fetch, const spark::SparkRunner* runner) {
+  // Parts are parsed straight from the blob set; their bytes were checked
+  // against the manifest once, by whoever assembled the set (the snapshot
+  // file's container decoder, or a shard's VerifyBlobSet after a pull).
+  const auto part = [&blobs](const std::string& name) -> const std::string* {
+    auto it = blobs.find(name);
+    return it == blobs.end() ? nullptr : &it->second;
+  };
   auto loaded = std::unique_ptr<LoadedLiteModel>(new LoadedLiteModel());
   loaded->runner_ = runner;
 
   size_t ensemble = 0;
   bool has_stage_head = false;
-  std::map<std::string, uint64_t> part_hashes;
   NecsConfig necs;
   {
-    // meta.txt is the commit marker: an atomic save publishes it last, so
-    // its absence means "no snapshot here (yet)" — e.g. a half-replicated
-    // directory observed by a hot-swap pull — not corruption.
-    std::string meta_bytes;
-    if (!fetch("meta.txt", &meta_bytes)) return nullptr;
-    std::istringstream meta(meta_bytes);
+    const std::string* meta_bytes = part("meta.txt");
+    if (meta_bytes == nullptr) return nullptr;
+    std::istringstream meta(*meta_bytes);
     std::string magic, version, key;
     if (!(meta >> magic >> version) || magic != kMetaMagic ||
         version != kMetaVersion) {
@@ -301,11 +263,6 @@ std::unique_ptr<LoadedLiteModel> LoadedLiteModel::LoadFromSource(
         int flag = 0;
         meta >> flag;
         has_stage_head = flag != 0;
-      } else if (key == "part") {
-        std::string name;
-        uint64_t hash = 0;
-        meta >> name >> hash;
-        part_hashes[name] = hash;
       } else {
         // Unknown key: a snapshot from a newer writer that appended meta
         // fields. Skip the rest of the line instead of hard-failing so
@@ -320,43 +277,27 @@ std::unique_ptr<LoadedLiteModel> LoadedLiteModel::LoadFromSource(
     }
     if (ensemble == 0 || ensemble > 64) return nullptr;
   }
-  // Every part actually read is verified against its meta hash line (when
-  // one exists — pre-hash snapshots carry none and load unverified). A
-  // mismatch means a mixed-version directory: some files committed by one
-  // save, some by another (a crash inside the rename sequence, or an
-  // external copier racing the writer). Serving any of it would mix
-  // models, so the whole load fails.
-  auto fetch_part = [&](const std::string& name, std::string* bytes) {
-    if (!fetch(name, bytes)) return false;
-    auto it = part_hashes.find(name);
-    if (it != part_hashes.end() && Fnv1a(*bytes, kFnvInit) != it->second) {
-      LITE_WARN << "snapshot: content hash mismatch on '" << name
-                << "' — mixed or damaged snapshot directory rejected";
-      return false;
-    }
-    return true;
-  };
-  std::string bytes;
+  const std::string* bytes = nullptr;
   {
-    if (!fetch_part("vocab.txt", &bytes)) return nullptr;
-    std::istringstream in(bytes);
+    if ((bytes = part("vocab.txt")) == nullptr) return nullptr;
+    std::istringstream in(*bytes);
     auto vocab = std::make_shared<TokenVocab>();
     if (!TokenVocab::Deserialize(&in, vocab.get())) return nullptr;
     loaded->feature_space_.vocab = std::move(vocab);
   }
   {
-    if (!fetch_part("opvocab.txt", &bytes)) return nullptr;
-    std::istringstream in(bytes);
+    if ((bytes = part("opvocab.txt")) == nullptr) return nullptr;
+    std::istringstream in(*bytes);
     auto opvocab = std::make_shared<spark::OpVocab>();
     if (!spark::OpVocab::Deserialize(&in, opvocab.get())) return nullptr;
     loaded->feature_space_.op_vocab = std::move(opvocab);
   }
   loaded->necs_config_ = necs;
   for (size_t i = 0; i < ensemble; ++i) {
-    if (!fetch_part("necs_" + std::to_string(i) + ".txt", &bytes)) {
+    if ((bytes = part("necs_" + std::to_string(i) + ".txt")) == nullptr) {
       return nullptr;
     }
-    std::istringstream in(bytes);
+    std::istringstream in(*bytes);
     auto model = std::make_unique<NecsModel>(
         loaded->feature_space_.vocab->size(),
         loaded->feature_space_.op_vocab->size(), necs, /*seed=*/1);
@@ -367,16 +308,16 @@ std::unique_ptr<LoadedLiteModel> LoadedLiteModel::LoadFromSource(
     // The head's dims are fixed by the NECS encoder widths already parsed
     // above; DeserializeParams rejects any shape mismatch, so a corrupted
     // or truncated stagehead.txt fails the whole load cleanly.
-    if (!fetch_part("stagehead.txt", &bytes)) return nullptr;
-    std::istringstream in(bytes);
+    if ((bytes = part("stagehead.txt")) == nullptr) return nullptr;
+    std::istringstream in(*bytes);
     auto head = std::make_unique<StageHead>(necs.code_dim, necs.gcn_hidden,
                                             /*seed=*/1);
     if (!DeserializeParams(&in, head->Params())) return nullptr;
     loaded->stage_head_ = std::move(head);
   }
   {
-    if (!fetch_part("acg.txt", &bytes)) return nullptr;
-    std::istringstream in(bytes);
+    if ((bytes = part("acg.txt")) == nullptr) return nullptr;
+    std::istringstream in(*bytes);
     std::string magic, version;
     size_t count = 0;
     if (!(in >> magic >> version >> count) || magic != "acg" || version != "v1") {

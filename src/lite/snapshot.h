@@ -1,10 +1,10 @@
 // LiteSystem snapshots: persist a trained system (vocabularies, NECS
-// ensemble weights, candidate-generator forests) to a directory and restore
-// it later without re-running the offline collection phase. This is how a
+// ensemble weights, candidate-generator forests) and restore it later
+// without re-running the offline collection phase. This is how a
 // production deployment ships the tuner: train once where the small-data
 // cluster lives, load everywhere else.
 //
-// Layout under <dir>/:
+// A snapshot is a set of named blobs (EncodeSnapshotBlobs):
 //   meta.txt        format version, NECS config, ensemble size, dims
 //   vocab.txt       token vocabulary
 //   opvocab.txt     DAG operation vocabulary
@@ -13,6 +13,13 @@
 //   stagehead.txt   per-stage head parameters (only when trained; its
 //                   presence is announced by the `stagehead` meta key)
 //
+// On disk a snapshot directory holds one file, <dir>/snapshot.blobs: the
+// blob set as one model-plane container (modelplane/wire.h) — a manifest
+// of every blob's size and content hash, then the blobs. The plane ships
+// the same container inside its push frames, so disk and wire share one
+// format and one decoder. Quantized (int8/fp16) twins are not stored: they
+// are derived from the fp32 weights on first use (NecsModel::Quantized).
+//
 // A snapshot restores everything Recommend() needs. The offline instance
 // corpus itself is not persisted, so adaptive updates after a restore use
 // only newly collected feedback as the source-domain sample (documented
@@ -20,7 +27,6 @@
 #ifndef LITE_LITE_SNAPSHOT_H_
 #define LITE_LITE_SNAPSHOT_H_
 
-#include <functional>
 #include <map>
 #include <string>
 
@@ -29,30 +35,32 @@
 
 namespace lite {
 
-/// Saves a trained system. Atomic at two levels (ISSUE 10): every file is
-/// staged to `<name>.tmp.<pid>` and renamed only after its stream verified,
-/// and no file is renamed until EVERY file of the set staged successfully —
-/// meta.txt, which doubles as the directory's commit marker and carries a
-/// content hash over the data files, is renamed last. A crash or failure
-/// mid-save therefore leaves the previously committed snapshot loadable
-/// byte-for-byte; a crash inside the (microseconds-long) rename sequence
-/// leaves a mixed set that loaders detect via meta's per-part content
-/// hashes and reject whole. Failures bump `lite_snapshot_save_failed_total`.
+/// The one file in a snapshot directory.
+inline constexpr char kSnapshotFile[] = "snapshot.blobs";
+
+/// Saves a trained system into `dir`: EncodeSnapshotBlobs, then
+/// WriteSnapshotBlobs. Failures bump `lite_snapshot_save_failed_total`.
 /// The directory must already exist.
 bool SaveSnapshot(const LiteSystem& system, const std::string& dir);
 
-/// Returns true when `dir` carries a snapshot commit marker (meta.txt).
-/// False means "no snapshot" — either nothing was ever saved there or a
-/// save aborted before publishing the marker; loaders return nullptr for
-/// both without logging structural-corruption warnings.
+/// Writes `blobs` as the snapshot file of `dir`: one container, staged to
+/// a temp file and committed by a single rename (util/atomic_file.h). A
+/// crash or failure mid-save leaves the previously committed snapshot
+/// loadable byte-for-byte.
+bool WriteSnapshotBlobs(const std::map<std::string, std::string>& blobs,
+                        const std::string& dir);
+
+/// Returns true when `dir` holds a snapshot file. False means "no
+/// snapshot" — either nothing was ever saved there or the first save
+/// aborted before its rename; Load returns nullptr for both without
+/// logging a corruption warning.
 bool SnapshotExists(const std::string& dir);
 
-/// Encodes a snapshot as named blobs (key == file name in a snapshot
-/// directory, value == exact file bytes, meta.txt last in iteration-
-/// independent canonical order). This is the model-distribution plane's
+/// Encodes a snapshot as named blobs (the list in the file comment; value
+/// == the part's exact bytes). This is the model-distribution plane's
 /// publication format (src/modelplane/): a blob set produced here, shipped
 /// over the wire and decoded with LoadedLiteModel::LoadFromBlobs yields a
-/// model bit-identical to one restored from the equivalent directory.
+/// model bit-identical to one restored from a saved snapshot.
 bool EncodeSnapshotBlobs(const LiteSystem& system,
                          std::map<std::string, std::string>* blobs);
 
@@ -61,34 +69,27 @@ bool EncodeSnapshotBlobs(const LiteSystem& system,
 /// stream, metrics, spans and argmin semantics — and honours the same
 /// scoring options (thread count, batched vs scalar path).
 ///
-/// Forward compatibility: Load() skips unknown meta.txt keys with a
+/// Forward compatibility: loading skips unknown meta.txt keys with a
 /// warning (consuming the rest of the line), so snapshots written by newer
 /// binaries that append meta fields still load; malformed values of known
 /// keys and structural damage still fail cleanly with nullptr.
 class LoadedLiteModel {
  public:
-  /// Loads from a snapshot directory; returns nullptr on failure. A
-  /// missing meta.txt (no commit marker — e.g. a save that aborted before
-  /// publishing it, or a half-replicated directory) is "no snapshot", not
-  /// corruption. When meta.txt carries `part <name> <hash>` keys (writers
-  /// always emit them now), every data file read is verified against its
-  /// hash and a mixed-version directory is rejected as a whole.
+  /// Loads the snapshot file of `dir`; returns nullptr on failure. A
+  /// missing file is "no snapshot", not corruption. The file is decoded by
+  /// the container decoder a shard's pull runs, checking every blob once
+  /// against the manifest (BlobCheck::kComplete): a blob whose size or
+  /// content hash disagrees with its entry, or a missing or extra blob,
+  /// fails the whole load. The blobs then go through LoadFromBlobs.
   static std::unique_ptr<LoadedLiteModel> Load(const std::string& dir,
                                                const spark::SparkRunner* runner);
 
   /// Restores from an in-memory blob set (EncodeSnapshotBlobs's format,
-  /// the model plane's wire payload). Bit-identical to Load() on the
-  /// directory holding the same bytes.
+  /// the model plane's wire payload). Bit-identical to Load() on a
+  /// snapshot holding the same blobs.
   static std::unique_ptr<LoadedLiteModel> LoadFromBlobs(
       const std::map<std::string, std::string>& blobs,
       const spark::SparkRunner* runner);
-
-  /// Byte-fetch source: fills `bytes` for a named part, false if absent.
-  using SnapshotSource =
-      std::function<bool(const std::string& name, std::string* bytes)>;
-  /// Shared loader core behind Load/LoadFromBlobs.
-  static std::unique_ptr<LoadedLiteModel> LoadFromSource(
-      const SnapshotSource& fetch, const spark::SparkRunner* runner);
 
   /// Encodes this model back into the named-blob form (the format
   /// EncodeSnapshotBlobs documents). The serving layer publishes adaptive

@@ -32,17 +32,6 @@ class GbdtRegressor {
   double train_rmse() const { return train_rmse_; }
   size_t NumTrees() const { return trees_.size(); }
 
-  /// Internal state access (exposed for serialization).
-  double base_prediction() const { return base_prediction_; }
-  double learning_rate() const { return options_.learning_rate; }
-  const std::vector<DecisionTreeRegressor>& trees() const { return trees_; }
-  void RestoreState(double base_prediction, double learning_rate,
-                    std::vector<DecisionTreeRegressor> trees) {
-    base_prediction_ = base_prediction;
-    options_.learning_rate = learning_rate;
-    trees_ = std::move(trees);
-  }
-
  private:
   GbdtOptions options_;
   double base_prediction_ = 0.0;

@@ -1,10 +1,6 @@
 #include "ml/serialization.h"
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
-
-#include "util/atomic_file.h"
 
 namespace lite {
 
@@ -67,53 +63,6 @@ bool DeserializeForest(std::istream* is, RandomForestRegressor* forest) {
   }
   forest->set_trees(std::move(trees));
   return true;
-}
-
-void SerializeGbdt(const GbdtRegressor& gbdt, std::ostream* os) {
-  WriteHeader(os, "gbdt");
-  os->precision(17);
-  *os << gbdt.base_prediction() << " " << gbdt.learning_rate() << " "
-      << gbdt.trees().size() << "\n";
-  for (const auto& t : gbdt.trees()) SerializeTree(t, os);
-}
-
-bool DeserializeGbdt(std::istream* is, GbdtRegressor* gbdt) {
-  if (!ReadHeader(is, "gbdt")) return false;
-  double base = 0.0, lr = 0.0;
-  size_t count = 0;
-  if (!(*is >> base >> lr >> count) || count > 100'000) return false;
-  std::vector<DecisionTreeRegressor> trees(count);
-  for (auto& t : trees) {
-    if (!DeserializeTree(is, &t)) return false;
-  }
-  gbdt->RestoreState(base, lr, std::move(trees));
-  return true;
-}
-
-bool SaveForestToFile(const RandomForestRegressor& forest, const std::string& path) {
-  AtomicFileWriter w(path);
-  if (!w.ok()) return false;
-  SerializeForest(forest, &w.stream());
-  return w.Commit();
-}
-
-bool LoadForestFromFile(const std::string& path, RandomForestRegressor* forest) {
-  std::ifstream in(path);
-  if (!in) return false;
-  return DeserializeForest(&in, forest);
-}
-
-bool SaveGbdtToFile(const GbdtRegressor& gbdt, const std::string& path) {
-  AtomicFileWriter w(path);
-  if (!w.ok()) return false;
-  SerializeGbdt(gbdt, &w.stream());
-  return w.Commit();
-}
-
-bool LoadGbdtFromFile(const std::string& path, GbdtRegressor* gbdt) {
-  std::ifstream in(path);
-  if (!in) return false;
-  return DeserializeGbdt(&in, gbdt);
 }
 
 }  // namespace lite

@@ -10,10 +10,8 @@
 #define LITE_ML_SERIALIZATION_H_
 
 #include <iosfwd>
-#include <string>
 
 #include "ml/decision_tree.h"
-#include "ml/gbdt.h"
 #include "ml/random_forest.h"
 
 namespace lite {
@@ -25,16 +23,6 @@ bool DeserializeTree(std::istream* is, DecisionTreeRegressor* tree);
 /// Writes/reads a random forest (options subset + trees).
 void SerializeForest(const RandomForestRegressor& forest, std::ostream* os);
 bool DeserializeForest(std::istream* is, RandomForestRegressor* forest);
-
-/// Writes/reads a GBDT ensemble (base prediction, learning rate, trees).
-void SerializeGbdt(const GbdtRegressor& gbdt, std::ostream* os);
-bool DeserializeGbdt(std::istream* is, GbdtRegressor* gbdt);
-
-/// File-level helpers; return false on I/O or format errors.
-bool SaveForestToFile(const RandomForestRegressor& forest, const std::string& path);
-bool LoadForestFromFile(const std::string& path, RandomForestRegressor* forest);
-bool SaveGbdtToFile(const GbdtRegressor& gbdt, const std::string& path);
-bool LoadGbdtFromFile(const std::string& path, GbdtRegressor* gbdt);
 
 }  // namespace lite
 

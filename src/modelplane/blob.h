@@ -1,19 +1,20 @@
 // Named parameter blobs and manifests: the unit of model distribution.
 //
-// A published model version is a set of named blobs (key == the file name
-// the part would carry in a snapshot directory, bytes == the exact file
-// bytes — lite::EncodeSnapshotBlobs produces this form) plus a manifest:
-// the plane version, and for every blob its key, content hash and size.
-// The manifest is what makes pulls atomic: a puller accepts a blob set
-// only when it matches the manifest *exactly* — same key set, same sizes,
-// same hashes — so a shard either installs the complete version or keeps
-// the previous one. Mixing blobs of two versions is structurally
-// impossible because the carried-over blobs of a delta pull are re-hashed
-// against the new manifest too.
+// A published model version is a set of named blobs (key == the part's
+// name, e.g. `necs_0.txt`, bytes == its exact serialization —
+// lite::EncodeSnapshotBlobs produces this form) plus a manifest: the plane
+// version, and for every blob its key, content hash and size. The manifest
+// is what makes pulls atomic: a puller accepts a blob set only when it
+// matches the manifest *exactly* — same key set, same sizes, same hashes —
+// so a shard either installs the complete version or keeps the previous
+// one. Mixing blobs of two versions is structurally impossible because the
+// carried-over blobs of a delta pull are re-hashed against the new
+// manifest too.
 //
-// Hashes are FNV-1a 64-bit, the same function lite/snapshot.cc uses for
-// the directory content hash, so "blob unchanged" on the wire and "file
-// unchanged" on disk agree byte for byte.
+// A manifest and its blobs travel together as one container (wire.h): the
+// payload of every push, and on its own the snapshot file on disk
+// (lite/snapshot.h). Hashes are FNV-1a 64-bit, so "blob unchanged" means
+// the same thing on the wire and on disk.
 #ifndef LITE_MODELPLANE_BLOB_H_
 #define LITE_MODELPLANE_BLOB_H_
 
@@ -37,7 +38,6 @@ bool ValidBlobKey(const std::string& key);
 struct Blob {
   std::string key;
   std::string bytes;
-  uint64_t hash = 0;  ///< HashBytes(bytes); 0 until computed.
 };
 
 struct ManifestEntry {

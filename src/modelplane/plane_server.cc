@@ -124,7 +124,7 @@ std::string ModelPlaneServer::HandleRequestFrame(const std::string& frame) {
       if (it == blobs_.end()) {
         msg.removed.push_back(key);
       } else {
-        msg.blobs.push_back(Blob{key, it->second, HashBytes(it->second)});
+        msg.blobs.push_back(Blob{key, it->second});
       }
     }
   } else {
@@ -134,7 +134,7 @@ std::string ModelPlaneServer::HandleRequestFrame(const std::string& frame) {
     // would be a regression on its side.
     msg.kind = PushMessage::Kind::kFull;
     for (const auto& [key, bytes] : blobs_) {
-      msg.blobs.push_back(Blob{key, bytes, HashBytes(bytes)});
+      msg.blobs.push_back(Blob{key, bytes});
     }
   }
   std::string out;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <map>
 #include <sstream>
+#include <utility>
 
 namespace lite::modelplane {
 namespace {
@@ -58,7 +60,7 @@ std::vector<std::string_view> SplitWs(std::string_view line) {
 /// parsing is not an option).
 class Cursor {
  public:
-  explicit Cursor(const std::string& s) : s_(s) {}
+  explicit Cursor(const std::string& s, size_t pos = 0) : s_(s), pos_(pos) {}
 
   bool Line(std::string_view* line) {
     if (pos_ >= s_.size()) return false;
@@ -77,10 +79,12 @@ class Cursor {
   }
 
   bool AtEnd() const { return pos_ == s_.size(); }
+  size_t pos() const { return pos_; }
+  void set_pos(size_t pos) { pos_ = pos; }
 
  private:
   const std::string& s_;
-  size_t pos_ = 0;
+  size_t pos_;
 };
 
 bool Fail(std::string* why, const std::string& reason) {
@@ -317,12 +321,126 @@ bool DecodePullRequest(const std::string& frame, const FilterChain& chain,
   return true;
 }
 
+bool EncodeContainer(const Manifest& manifest, const std::vector<Blob>& blobs,
+                     std::string* out) {
+  for (const ManifestEntry& e : manifest.entries) {
+    if (!ValidBlobKey(e.key)) return false;
+  }
+  for (const Blob& b : blobs) {
+    if (!ValidBlobKey(b.key)) return false;
+  }
+  *out += "manifest " + std::to_string(manifest.entries.size()) + " " +
+          std::to_string(manifest.Hash()) + "\n";
+  for (const ManifestEntry& e : manifest.entries) {
+    *out += "entry " + e.key + " " + std::to_string(e.hash) + " " +
+            std::to_string(e.size) + "\n";
+  }
+  *out += "blobs " + std::to_string(blobs.size()) + "\n";
+  for (const Blob& b : blobs) {
+    *out += "blob " + b.key + " " + std::to_string(b.bytes.size()) + " " +
+            std::to_string(HashBytes(b.bytes)) + "\n";
+    *out += b.bytes;
+    *out += "\n";
+  }
+  return true;
+}
+
+bool DecodeContainer(const std::string& in, size_t* pos, uint64_t version,
+                     BlobCheck check, Manifest* manifest,
+                     std::vector<Blob>* blobs, std::string* why) {
+  Cursor c(in, *pos);
+  std::string_view line;
+  if (!c.Line(&line)) return Fail(why, "container: truncated");
+  auto toks = SplitWs(line);
+  uint64_t n = 0, declared_manifest_hash = 0;
+  if (toks.size() != 3 || toks[0] != "manifest" || !ParseU64(toks[1], &n) ||
+      !ParseU64(toks[2], &declared_manifest_hash) || n > kMaxListEntries) {
+    return Fail(why, "container: manifest line");
+  }
+  manifest->version = version;
+  manifest->entries.clear();
+  manifest->entries.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!c.Line(&line)) return Fail(why, "container: truncated manifest");
+    toks = SplitWs(line);
+    ManifestEntry e;
+    if (toks.size() != 4 || toks[0] != "entry" ||
+        !ParseU64(toks[2], &e.hash) || !ParseU64(toks[3], &e.size)) {
+      return Fail(why, "container: manifest entry");
+    }
+    e.key = std::string(toks[1]);
+    if (!ValidBlobKey(e.key)) return Fail(why, "container: bad manifest key");
+    manifest->entries.push_back(std::move(e));
+  }
+  if (manifest->Hash() != declared_manifest_hash) {
+    return Fail(why, "container: manifest checksum mismatch");
+  }
+  // Entries not yet matched by a blob, by key. A manifest naming a key
+  // twice describes no installable set.
+  std::map<std::string_view, size_t> unmatched;
+  for (size_t i = 0; i < manifest->entries.size(); ++i) {
+    if (!unmatched.emplace(manifest->entries[i].key, i).second) {
+      return Fail(why, "container: duplicate manifest key");
+    }
+  }
+  if (!c.Line(&line)) return Fail(why, "container: truncated");
+  toks = SplitWs(line);
+  uint64_t m = 0;
+  if (toks.size() != 2 || toks[0] != "blobs" || !ParseU64(toks[1], &m) ||
+      m > n) {
+    return Fail(why, "container: blobs line");
+  }
+  if (check == BlobCheck::kComplete && m != n) {
+    return Fail(why, "container: " + std::to_string(m) + " blobs for " +
+                         std::to_string(n) + " manifest entries");
+  }
+  // Per blob: its manifest entry and the hash its header declares.
+  std::vector<std::pair<size_t, uint64_t>> declared;
+  declared.reserve(m);
+  blobs->clear();
+  blobs->reserve(m);
+  for (uint64_t i = 0; i < m; ++i) {
+    if (!c.Line(&line)) return Fail(why, "container: truncated blob header");
+    toks = SplitWs(line);
+    uint64_t size = 0, hash = 0;
+    if (toks.size() != 4 || toks[0] != "blob" || !ParseU64(toks[2], &size) ||
+        !ParseU64(toks[3], &hash) || size > kMaxBodyBytes) {
+      return Fail(why, "container: blob header");
+    }
+    const auto it = unmatched.find(toks[1]);
+    if (it == unmatched.end()) {
+      return Fail(why, "container: blob '" + std::string(toks[1]) +
+                           "' not in manifest or repeated");
+    }
+    declared.emplace_back(it->second, hash);
+    unmatched.erase(it);
+    Blob b;
+    b.key = std::string(toks[1]);
+    if (!c.Bytes(size, &b.bytes)) return Fail(why, "container: truncated blob");
+    if (!c.Line(&line) || !line.empty()) {
+      return Fail(why, "container: blob framing");
+    }
+    blobs->push_back(std::move(b));
+  }
+  // Contents last, once the framing is known to be whole: a truncated or
+  // misframed container fails above without hashing a byte.
+  if (check == BlobCheck::kComplete) {
+    for (size_t i = 0; i < blobs->size(); ++i) {
+      const Blob& b = (*blobs)[i];
+      const ManifestEntry& e = manifest->entries[declared[i].first];
+      if (b.bytes.size() != e.size || declared[i].second != e.hash ||
+          HashBytes(b.bytes) != e.hash) {
+        return Fail(why, "container: '" + b.key + "' disagrees with manifest");
+      }
+    }
+  }
+  *pos = c.pos();
+  return true;
+}
+
 bool EncodePush(const PushMessage& msg, const FilterChain& chain,
                 std::string* frame) {
   if (msg.manifest.version != msg.version) return false;
-  for (const ManifestEntry& e : msg.manifest.entries) {
-    if (!ValidBlobKey(e.key)) return false;
-  }
   for (const std::string& k : msg.removed) {
     if (!ValidBlobKey(k)) return false;
   }
@@ -331,21 +449,8 @@ bool EncodePush(const PushMessage& msg, const FilterChain& chain,
   body += "kind ";
   body += KindName(msg.kind);
   body += "\nversion " + std::to_string(msg.version);
-  body += "\nbase " + std::to_string(msg.base);
-  body += "\nmanifest " + std::to_string(msg.manifest.entries.size()) + " " +
-          std::to_string(msg.manifest.Hash()) + "\n";
-  for (const ManifestEntry& e : msg.manifest.entries) {
-    body += "entry " + e.key + " " + std::to_string(e.hash) + " " +
-            std::to_string(e.size) + "\n";
-  }
-  body += "blobs " + std::to_string(msg.blobs.size()) + "\n";
-  for (const Blob& b : msg.blobs) {
-    if (!ValidBlobKey(b.key)) return false;
-    body += "blob " + b.key + " " + std::to_string(b.bytes.size()) + " " +
-            std::to_string(HashBytes(b.bytes)) + "\n";
-    body += b.bytes;
-    body += "\n";
-  }
+  body += "\nbase " + std::to_string(msg.base) + "\n";
+  if (!EncodeContainer(msg.manifest, msg.blobs, &body)) return false;
   body += "removed " + std::to_string(msg.removed.size()) + "\n";
   for (const std::string& k : msg.removed) {
     body += "rm " + k + "\n";
@@ -386,59 +491,12 @@ bool DecodePush(const std::string& frame, const FilterChain& chain,
   if (toks.size() != 2 || toks[0] != "base" || !ParseU64(toks[1], &msg->base)) {
     return Fail(why, "push: base line");
   }
-  if (!c.Line(&line)) return Fail(why, "push: truncated");
-  toks = SplitWs(line);
-  uint64_t n = 0, declared_manifest_hash = 0;
-  if (toks.size() != 3 || toks[0] != "manifest" || !ParseU64(toks[1], &n) ||
-      !ParseU64(toks[2], &declared_manifest_hash) || n > kMaxListEntries) {
-    return Fail(why, "push: manifest line");
+  size_t pos = c.pos();
+  if (!DecodeContainer(body, &pos, msg->version, BlobCheck::kKeysOnly,
+                       &msg->manifest, &msg->blobs, why)) {
+    return false;
   }
-  msg->manifest.version = msg->version;
-  msg->manifest.entries.clear();
-  msg->manifest.entries.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!c.Line(&line)) return Fail(why, "push: truncated manifest");
-    toks = SplitWs(line);
-    ManifestEntry e;
-    if (toks.size() != 4 || toks[0] != "entry" ||
-        !ParseU64(toks[2], &e.hash) || !ParseU64(toks[3], &e.size)) {
-      return Fail(why, "push: manifest entry");
-    }
-    e.key = std::string(toks[1]);
-    if (!ValidBlobKey(e.key)) return Fail(why, "push: bad manifest key");
-    msg->manifest.entries.push_back(std::move(e));
-  }
-  if (msg->manifest.Hash() != declared_manifest_hash) {
-    return Fail(why, "push: manifest checksum mismatch");
-  }
-  if (!c.Line(&line)) return Fail(why, "push: truncated");
-  toks = SplitWs(line);
-  uint64_t m = 0;
-  if (toks.size() != 2 || toks[0] != "blobs" || !ParseU64(toks[1], &m) ||
-      m > kMaxListEntries) {
-    return Fail(why, "push: blobs line");
-  }
-  msg->blobs.clear();
-  msg->blobs.reserve(m);
-  for (uint64_t i = 0; i < m; ++i) {
-    if (!c.Line(&line)) return Fail(why, "push: truncated blob header");
-    toks = SplitWs(line);
-    uint64_t size = 0, hash = 0;
-    if (toks.size() != 4 || toks[0] != "blob" || !ParseU64(toks[2], &size) ||
-        !ParseU64(toks[3], &hash) || size > kMaxBodyBytes) {
-      return Fail(why, "push: blob header");
-    }
-    Blob b;
-    b.key = std::string(toks[1]);
-    if (!ValidBlobKey(b.key)) return Fail(why, "push: bad blob key");
-    if (!c.Bytes(size, &b.bytes)) return Fail(why, "push: truncated blob");
-    if (!c.Line(&line) || !line.empty()) {
-      return Fail(why, "push: blob framing");
-    }
-    b.hash = HashBytes(b.bytes);
-    if (b.hash != hash) return Fail(why, "push: blob checksum mismatch");
-    msg->blobs.push_back(std::move(b));
-  }
+  c.set_pos(pos);
   if (!c.Line(&line)) return Fail(why, "push: truncated");
   toks = SplitWs(line);
   uint64_t k = 0;

@@ -1,8 +1,8 @@
 #include "nn/module.h"
 
-#include <fstream>
+#include <istream>
+#include <ostream>
 
-#include "util/atomic_file.h"
 #include "util/logging.h"
 
 namespace lite {
@@ -39,19 +39,6 @@ bool DeserializeParams(std::istream* is, const std::vector<VarPtr>& params) {
     for (size_t i = 0; i < p->numel(); ++i) in >> p->value[i];
   }
   return static_cast<bool>(in);
-}
-
-bool SaveParams(const std::vector<VarPtr>& params, const std::string& path) {
-  AtomicFileWriter w(path);
-  if (!w.ok()) return false;
-  if (!SerializeParams(params, &w.stream())) return false;
-  return w.Commit();
-}
-
-bool LoadParams(const std::vector<VarPtr>& params, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  return DeserializeParams(&in, params);
 }
 
 void CopyParams(const std::vector<VarPtr>& src, const std::vector<VarPtr>& dst) {

@@ -3,7 +3,6 @@
 #define LITE_NN_MODULE_H_
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "tensor/autodiff.h"
@@ -25,21 +24,13 @@ class Module {
   }
 };
 
-/// Stream form of the parameter codec (shape + floats, 9 significant
-/// digits — exact binary32 round-trip). Returns false when the stream goes
-/// bad; SerializeParams leaves partial output behind on failure, so file
-/// writers must stage through util/atomic_file.h.
+/// Parameter codec: a simple text format (shape + floats, 9 significant
+/// digits — exact binary32 round-trip). Deserialize loads into existing
+/// parameters whose shapes must match exactly. Both return false when the
+/// stream goes bad; SerializeParams leaves partial output behind on
+/// failure, so callers write to a buffer (lite/snapshot.cc does).
 bool SerializeParams(const std::vector<VarPtr>& params, std::ostream* os);
 bool DeserializeParams(std::istream* is, const std::vector<VarPtr>& params);
-
-/// Writes parameter tensors to a simple text format (shape + floats).
-/// Atomic: stages to `<path>.tmp.<pid>` and renames on success, so a crash
-/// mid-save never replaces a committed file with a torn one. Returns false
-/// on I/O failure.
-bool SaveParams(const std::vector<VarPtr>& params, const std::string& path);
-
-/// Loads into existing parameters; shapes must match exactly.
-bool LoadParams(const std::vector<VarPtr>& params, const std::string& path);
 
 /// Deep copy of parameter values from `src` into `dst` (shapes must match).
 /// Used by DDPG target networks and by model snapshotting.

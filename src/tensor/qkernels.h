@@ -71,9 +71,9 @@ struct QuantizedRowMatrix {
   std::vector<float> scale;       ///< per row, finite and > 0.
   std::vector<int32_t> zero_point;  ///< per row.
 
-  // Derived output-stationary panel packing for the AVX2 GEMM (not
-  // serialized; QuantizedSnapshot rebuilds it after load). Panels hold 8
-  // output rows of int16-widened codes, column-pair interleaved: entry
+  // Derived output-stationary panel packing for the AVX2 GEMM (built by
+  // QuantizeRowsInt8, never stored). Panels hold 8 output rows of
+  // int16-widened codes, column-pair interleaved: entry
   // [p][c*8 + l*2 + (c&1)] is w[p*8+l][c], so one 32-byte load yields 8
   // lanes of (w[j][c], w[j][c+1]) pairs ready for vpmaddwd against a
   // broadcast activation pair. Zero-padded to even cols and to full panels
@@ -83,8 +83,8 @@ struct QuantizedRowMatrix {
   std::vector<int16_t> panels;
   size_t cols2 = 0;  ///< cols rounded up to even.
 
-  /// (Re)builds `panels` from `q`. Called by QuantizeRowsInt8 and the
-  /// snapshot loader; kernels fall back to the dot path when empty.
+  /// (Re)builds `panels` from `q`. Called by QuantizeRowsInt8; kernels fall
+  /// back to the dot path when empty.
   void BuildPanels();
 };
 

@@ -49,9 +49,9 @@ AtomicFileWriter::~AtomicFileWriter() {
   }
 }
 
-bool AtomicFileWriter::Stage() {
-  if (stage_done_) return staged_;
-  stage_done_ = true;
+bool AtomicFileWriter::Commit() {
+  if (finished_) return committed_;
+  finished_ = true;
   out_.flush();
   // badbit/failbit after the flush means some write — possibly one long
   // before the final << — was short; committing would publish a silently
@@ -59,19 +59,9 @@ bool AtomicFileWriter::Stage() {
   const bool stream_ok = static_cast<bool>(out_);
   out_.close();
   if (!stream_ok || ConsumeInjectedFailure()) {
-    finished_ = true;
     std::remove(temp_path_.c_str());
     return false;
   }
-  staged_ = true;
-  return true;
-}
-
-bool AtomicFileWriter::Publish() {
-  if (finished_) return committed_;
-  if (!stage_done_ && !Stage()) return false;
-  if (!staged_) return false;
-  finished_ = true;
   if (std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
     LITE_WARN << "AtomicFileWriter: rename('" << temp_path_ << "' -> '"
               << path_ << "') failed";
@@ -80,11 +70,6 @@ bool AtomicFileWriter::Publish() {
   }
   committed_ = true;
   return true;
-}
-
-bool AtomicFileWriter::Commit() {
-  if (!Stage()) return false;
-  return Publish();
 }
 
 bool WriteFileAtomic(const std::string& path,

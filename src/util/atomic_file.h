@@ -19,7 +19,7 @@
 // Crash-mid-save testing: InjectAtomicWriteFailure(n) makes the n-th
 // subsequent Commit() fail after the temp file is written but before the
 // rename — exactly the window a crash would hit — so suites can prove a
-// multi-file save aborts cleanly without corrupting committed state.
+// save aborts cleanly without corrupting committed state.
 #ifndef LITE_UTIL_ATOMIC_FILE_H_
 #define LITE_UTIL_ATOMIC_FILE_H_
 
@@ -47,19 +47,7 @@ class AtomicFileWriter {
   /// and renames the temp file over `path`. Returns false — and removes the
   /// temp file — on any failure; the committed file is never touched on a
   /// failed commit. Idempotent: a second call returns the first result.
-  /// Equivalent to Stage() && Publish().
   bool Commit();
-
-  /// Two-phase form for multi-file saves (lite/snapshot.cc): Stage() every
-  /// file of the set first — flush, verify, close, keep the temp — and only
-  /// when ALL stages succeeded Publish() (rename) them, commit marker last.
-  /// A failure in any Stage() aborts the save before a single rename, so
-  /// the previously committed file set survives byte-for-byte; the window
-  /// where a crash can leave a mixed set shrinks to the rename sequence
-  /// itself, which the snapshot meta's content hash then detects. The
-  /// injected test failure fires in Stage().
-  bool Stage();
-  bool Publish();
 
   /// The temp path the bytes are staged in (exposed for tests).
   const std::string& temp_path() const { return temp_path_; }
@@ -68,8 +56,6 @@ class AtomicFileWriter {
   std::string path_;
   std::string temp_path_;
   std::ofstream out_;
-  bool staged_ = false;
-  bool stage_done_ = false;
   bool committed_ = false;
   bool finished_ = false;
 };
@@ -80,12 +66,12 @@ class AtomicFileWriter {
 bool WriteFileAtomic(const std::string& path,
                      const std::function<bool(std::ostream&)>& writer);
 
-/// Test hook: arms a one-shot failure on the n-th subsequent Stage()
-/// (1 = the next one; Commit() counts, since it stages first). The doomed
-/// write flushes the temp file, then fails *before* the rename and unlinks
-/// the temp — the precise state a crash between flush and rename leaves
-/// behind, minus the stray temp file a real crash would also leave (which
-/// loaders must ignore anyway). n = 0 disarms. Test-only.
+/// Test hook: arms a one-shot failure on the n-th subsequent Commit()
+/// (1 = the next one). The doomed write flushes the temp file, then fails
+/// *before* the rename and unlinks the temp — the precise state a crash
+/// between flush and rename leaves behind, minus the stray temp file a
+/// real crash would also leave (which loaders must ignore anyway). n = 0
+/// disarms. Test-only.
 void InjectAtomicWriteFailure(int nth_commit);
 
 }  // namespace lite

@@ -4,7 +4,6 @@
 // via LITE_TEST_SEED.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "lite/snapshot.h"
 #include "testkit/diff.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
 
 namespace lite {
 namespace {
@@ -184,12 +184,11 @@ TEST_F(DifferentialTest, QuantBackendOffIsTransparent) {
 }
 
 TEST_F(DifferentialTest, SnapshotRoundTripIsLossless) {
-  std::string dir = testing::TempDir() + "/testkit_snapshot_diff";
-  std::filesystem::create_directories(dir);
+  testkit::ScopedTempDir tmp("testkit_snapshot_diff");
   testkit::TupleGenerator gen = CorpusGen(3);
   WorkloadTuple t = gen.Next();
-  DiffResult r = testkit::DiffSnapshotRoundTrip(*system_, *runner_, t, dir);
-  std::filesystem::remove_all(dir);
+  DiffResult r =
+      testkit::DiffSnapshotRoundTrip(*system_, *runner_, t, tmp.path());
   ASSERT_TRUE(r.ok) << r.message << "\n  tuple: " << t.Describe() << "\n  "
                     << SeedNote();
 }
@@ -220,8 +219,8 @@ TEST(StageTuningDifferentialTest, EnabledButUnusedIsBitIdentical) {
   system.TrainOffline();
   ASSERT_NE(system.stage_head(), nullptr);
 
-  std::string dir = testing::TempDir() + "/stage_tuning_diff_snapshot";
-  std::filesystem::create_directories(dir);
+  testkit::ScopedTempDir tmp("stage_tuning_diff_snapshot");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(SaveSnapshot(system, dir));
 
   const uint64_t seed = testkit::SeedFromEnv();
@@ -235,7 +234,6 @@ TEST(StageTuningDifferentialTest, EnabledButUnusedIsBitIdentical) {
     EXPECT_TRUE(r.ok) << r.message << "\n  tuple: " << t.Describe() << "\n  "
                       << SeedNote();
   }
-  std::filesystem::remove_all(dir);
 }
 
 // Runner-level differentials need no trained model: sweep the full catalog,

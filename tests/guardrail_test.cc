@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "sparksim/runner.h"
 #include "testkit/diff.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
 #include "util/rng.h"
 
 namespace lite {
@@ -426,15 +426,15 @@ class GuardedServiceTest : public ::testing::Test {
     runner_ = new spark::SparkRunner();
     LiteSystem system(runner_, TinyOptions());
     system.TrainOffline();
-    dir_ = new std::string(testing::TempDir() + "/guardrail_snapshot");
-    std::filesystem::create_directories(*dir_);
+    tmp_ = new testkit::ScopedTempDir("guardrail_snapshot");
+    dir_ = &tmp_->path();
     ASSERT_TRUE(SaveSnapshot(system, *dir_));
   }
 
   static void TearDownTestSuite() {
-    std::filesystem::remove_all(*dir_);
-    delete dir_;
+    delete tmp_;
     delete runner_;
+    tmp_ = nullptr;
     dir_ = nullptr;
     runner_ = nullptr;
   }
@@ -456,11 +456,13 @@ class GuardedServiceTest : public ::testing::Test {
   }
 
   static spark::SparkRunner* runner_;
-  static std::string* dir_;
+  static testkit::ScopedTempDir* tmp_;
+  static const std::string* dir_;
 };
 
 spark::SparkRunner* GuardedServiceTest::runner_ = nullptr;
-std::string* GuardedServiceTest::dir_ = nullptr;
+testkit::ScopedTempDir* GuardedServiceTest::tmp_ = nullptr;
+const std::string* GuardedServiceTest::dir_ = nullptr;
 
 TEST_F(GuardedServiceTest, ServiceOptionsValidationGuardsConstruction) {
   serve::ServiceOptions bad = GuardedOptions();

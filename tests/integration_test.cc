@@ -3,9 +3,8 @@
 // snapshot -> serving, plus determinism of the whole pipeline.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "lite/snapshot.h"
+#include "testkit/temp_dir.h"
 #include "tuning/experiment.h"
 #include "tuning/model_tuners.h"
 #include "tuning/sha_tuner.h"
@@ -54,14 +53,12 @@ TEST(IntegrationTest, FullLifecycle) {
   EXPECT_TRUE(spark::KnobSpace::Spark16().IsValid(r2.config));
 
   // Snapshot after the update; serving agrees with the in-process system.
-  std::string dir = testing::TempDir() + "/integration_snapshot";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(SaveSnapshot(system, dir));
-  auto served = LoadedLiteModel::Load(dir, &runner);
+  testkit::ScopedTempDir tmp("integration_snapshot");
+  ASSERT_TRUE(SaveSnapshot(system, tmp.path()));
+  auto served = LoadedLiteModel::Load(tmp.path(), &runner);
   ASSERT_NE(served, nullptr);
   LiteSystem::Recommendation r3 = served->Recommend(*app, data, env);
   EXPECT_EQ(r3.config, r2.config);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(IntegrationTest, WholePipelineDeterministic) {

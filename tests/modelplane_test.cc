@@ -5,9 +5,8 @@
 // The crash-mid-save tests drive the InjectAtomicWriteFailure hook — the
 // staged temp file is written and then the commit fails *before* the
 // rename, exactly the window a crash would hit — and prove the previously
-// committed snapshot survives byte-for-byte for every writer that
-// persists model state (SaveSnapshot, SaveQuantizedSnapshot,
-// RetrievalCache::SaveIndex).
+// committed file survives byte-for-byte for every writer that persists
+// serving state (SaveSnapshot, RetrievalCache::SaveIndex).
 //
 // FourShardStormServesNoTornPull is the ISSUE 10 acceptance scenario: a
 // 4-shard simulation under a swap storm with injected channel faults must
@@ -17,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "lite/lite_system.h"
-#include "lite/qsnapshot.h"
 #include "lite/snapshot.h"
 #include "modelplane/blob.h"
 #include "modelplane/channel.h"
@@ -39,6 +36,7 @@
 #include "serve/retrieval_cache.h"
 #include "serve/tuning_service.h"
 #include "sparksim/runner.h"
+#include "testkit/temp_dir.h"
 #include "util/atomic_file.h"
 #include "util/rng.h"
 
@@ -83,8 +81,8 @@ std::map<std::string, std::string> DirImage(const std::string& dir) {
 // --- AtomicFileWriter -----------------------------------------------------
 
 TEST(AtomicFileTest, CommitPublishesExactBytes) {
-  const std::string path = testing::TempDir() + "/atomic_commit.txt";
-  std::remove(path.c_str());
+  testkit::ScopedTempDir tmp("atomic_commit");
+  const std::string path = tmp.path() + "/atomic_commit.txt";
   {
     AtomicFileWriter w(path);
     ASSERT_TRUE(w.ok());
@@ -94,11 +92,11 @@ TEST(AtomicFileTest, CommitPublishesExactBytes) {
     EXPECT_TRUE(w.Commit());
   }
   EXPECT_EQ(ReadFile(path), "payload line\n");
-  std::remove(path.c_str());
 }
 
 TEST(AtomicFileTest, InjectedFailureLeavesCommittedFileAndNoTemp) {
-  const std::string path = testing::TempDir() + "/atomic_inject.txt";
+  testkit::ScopedTempDir tmp("atomic_inject");
+  const std::string path = tmp.path() + "/atomic_inject.txt";
   ASSERT_TRUE(WriteFileAtomic(path, [](std::ostream& out) {
     out << "committed v1\n";
     return true;
@@ -114,11 +112,11 @@ TEST(AtomicFileTest, InjectedFailureLeavesCommittedFileAndNoTemp) {
   // the crash-mid-save snapshot tests below rely on.
   EXPECT_EQ(ReadFile(path), "committed v1\n");
   EXPECT_FALSE(fs::exists(temp));
-  std::remove(path.c_str());
 }
 
 TEST(AtomicFileTest, AbandonedWriterUnlinksTempAndKeepsCommitted) {
-  const std::string path = testing::TempDir() + "/atomic_abandon.txt";
+  testkit::ScopedTempDir tmp("atomic_abandon");
+  const std::string path = tmp.path() + "/atomic_abandon.txt";
   ASSERT_TRUE(WriteFileAtomic(path, [](std::ostream& out) {
     out << "committed\n";
     return true;
@@ -132,27 +130,6 @@ TEST(AtomicFileTest, AbandonedWriterUnlinksTempAndKeepsCommitted) {
   }
   EXPECT_EQ(ReadFile(path), "committed\n");
   EXPECT_FALSE(fs::exists(temp));
-  std::remove(path.c_str());
-}
-
-TEST(AtomicFileTest, StageAllThenPublishIsAllOrNothing) {
-  const std::string a = testing::TempDir() + "/staged_a.txt";
-  const std::string b = testing::TempDir() + "/staged_b.txt";
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  AtomicFileWriter wa(a), wb(b);
-  ASSERT_TRUE(wa.ok());
-  ASSERT_TRUE(wb.ok());
-  wa.stream() << "a\n";
-  wb.stream() << "b\n";
-  // Second stage fails -> the multi-file save aborts before ANY rename.
-  InjectAtomicWriteFailure(2);
-  ASSERT_TRUE(wa.Stage());
-  EXPECT_FALSE(wb.Stage());
-  EXPECT_FALSE(fs::exists(a));
-  EXPECT_FALSE(fs::exists(b));
-  std::remove(a.c_str());
-  std::remove(b.c_str());
 }
 
 // --- Crash-mid-save for every snapshot writer -----------------------------
@@ -183,16 +160,16 @@ class ModelPlaneModelTest : public ::testing::Test {
     runner_ = new spark::SparkRunner();
     system_ = new LiteSystem(runner_, TinyOptions());
     system_->TrainOffline();
-    dir_ = new std::string(testing::TempDir() + "/modelplane_snapshot");
-    fs::create_directories(*dir_);
+    tmp_ = new testkit::ScopedTempDir("modelplane_snapshot");
+    dir_ = &tmp_->path();
     ASSERT_TRUE(SaveSnapshot(*system_, *dir_));
   }
 
   static void TearDownTestSuite() {
-    fs::remove_all(*dir_);
-    delete dir_;
+    delete tmp_;
     delete system_;
     delete runner_;
+    tmp_ = nullptr;
     dir_ = nullptr;
     system_ = nullptr;
     runner_ = nullptr;
@@ -200,53 +177,30 @@ class ModelPlaneModelTest : public ::testing::Test {
 
   static spark::SparkRunner* runner_;
   static LiteSystem* system_;
-  static std::string* dir_;
+  static testkit::ScopedTempDir* tmp_;
+  static const std::string* dir_;
 };
 
 spark::SparkRunner* ModelPlaneModelTest::runner_ = nullptr;
 LiteSystem* ModelPlaneModelTest::system_ = nullptr;
-std::string* ModelPlaneModelTest::dir_ = nullptr;
+testkit::ScopedTempDir* ModelPlaneModelTest::tmp_ = nullptr;
+const std::string* ModelPlaneModelTest::dir_ = nullptr;
 
 TEST_F(ModelPlaneModelTest, SaveSnapshotCrashMidSaveKeepsCommittedSnapshot) {
-  const std::string dir = testing::TempDir() + "/crash_save";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  testkit::ScopedTempDir tmp("crash_save");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(SaveSnapshot(*system_, dir));
   const std::map<std::string, std::string> committed = DirImage(dir);
-  ASSERT_TRUE(committed.count("meta.txt"));
+  ASSERT_EQ(committed.size(), 1u);
+  ASSERT_TRUE(committed.count(kSnapshotFile));
 
-  // Fail each staged file of the set in turn; the committed snapshot must
-  // survive byte-for-byte every time, and keep loading.
-  for (int nth = 1; nth <= static_cast<int>(committed.size()); ++nth) {
-    InjectAtomicWriteFailure(nth);
-    EXPECT_FALSE(SaveSnapshot(*system_, dir)) << "nth=" << nth;
-    EXPECT_EQ(DirImage(dir), committed) << "nth=" << nth;
-  }
+  // The whole save is one commit: failing it must leave the committed
+  // snapshot byte-for-byte, with no temp file beside it, and loadable.
+  InjectAtomicWriteFailure(1);
+  EXPECT_FALSE(SaveSnapshot(*system_, dir));
+  EXPECT_EQ(DirImage(dir), committed);
   auto loaded = LoadedLiteModel::Load(dir, runner_);
   ASSERT_NE(loaded, nullptr);
-  fs::remove_all(dir);
-}
-
-TEST_F(ModelPlaneModelTest, QuantizedSnapshotCrashMidSaveKeepsCommitted) {
-  const std::string dir = testing::TempDir() + "/crash_qsave";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  auto model = LoadedLiteModel::Load(*dir_, runner_);
-  ASSERT_NE(model, nullptr);
-  ASSERT_TRUE(SaveQuantizedSnapshot(*model, QuantBackend::kInt8, dir));
-  const std::map<std::string, std::string> committed = DirImage(dir);
-  ASSERT_TRUE(committed.count("qmeta.txt"));
-
-  for (int nth = 1; nth <= static_cast<int>(committed.size()); ++nth) {
-    InjectAtomicWriteFailure(nth);
-    EXPECT_FALSE(SaveQuantizedSnapshot(*model, QuantBackend::kInt8, dir))
-        << "nth=" << nth;
-    EXPECT_EQ(DirImage(dir), committed) << "nth=" << nth;
-  }
-  auto reload = LoadedLiteModel::Load(*dir_, runner_);
-  ASSERT_NE(reload, nullptr);
-  EXPECT_TRUE(LoadQuantizedSnapshot(dir, reload.get()));
-  fs::remove_all(dir);
 }
 
 TEST(RetrievalCrashTest, SaveIndexCrashMidSaveKeepsCommittedIndex) {
@@ -256,7 +210,8 @@ TEST(RetrievalCrashTest, SaveIndexCrashMidSaveKeepsCommittedIndex) {
   spark::Config config = spark::KnobSpace::Spark16().DefaultConfig();
   cache.InsertOutcome("tenant", "TS", 7, {0.25, 0.5}, config, 12.5, 1, false);
 
-  const std::string path = testing::TempDir() + "/crash_index.txt";
+  testkit::ScopedTempDir tmp("crash_index");
+  const std::string path = tmp.path() + "/crash_index.txt";
   ASSERT_TRUE(cache.SaveIndex(path));
   const std::string committed = ReadFile(path);
 
@@ -268,38 +223,78 @@ TEST(RetrievalCrashTest, SaveIndexCrashMidSaveKeepsCommittedIndex) {
   serve::RetrievalCache loaded(opts);
   EXPECT_TRUE(loaded.LoadIndex(path));
   EXPECT_EQ(loaded.index_size(), 1u);
-  std::remove(path.c_str());
+}
+
+TEST_F(ModelPlaneModelTest, SnapshotDirectoryHoldsOneContainerFile) {
+  // The file is exactly one container: the decoder a push runs, in its
+  // complete mode, reads back the blob set EncodeSnapshotBlobs produces.
+  const std::map<std::string, std::string> image = DirImage(*dir_);
+  ASSERT_EQ(image.size(), 1u);
+  const std::string& file = image.at(kSnapshotFile);
+  modelplane::Manifest manifest;
+  std::vector<Blob> decoded;
+  std::string why;
+  size_t pos = 0;
+  ASSERT_TRUE(modelplane::DecodeContainer(file, &pos, 0,
+                                          modelplane::BlobCheck::kComplete,
+                                          &manifest, &decoded, &why))
+      << why;
+  EXPECT_EQ(pos, file.size());
+  std::map<std::string, std::string> blobs;
+  for (const Blob& b : decoded) blobs[b.key] = b.bytes;
+  std::map<std::string, std::string> want;
+  ASSERT_TRUE(EncodeSnapshotBlobs(*system_, &want));
+  EXPECT_EQ(blobs, want);
+  EXPECT_EQ(manifest.Hash(), modelplane::BuildManifest(0, want).Hash());
 }
 
 TEST_F(ModelPlaneModelTest, MissingMetaIsNoSnapshotNotCorruption) {
-  const std::string dir = testing::TempDir() + "/no_marker";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  // Replicate everything EXCEPT the commit marker — the state a crash
-  // inside the rename sequence (or a half-replicated directory) leaves.
-  for (const auto& [name, bytes] : DirImage(*dir_)) {
-    if (name == "meta.txt") continue;
-    std::ofstream(dir + "/" + name, std::ios::binary) << bytes;
-  }
+  // The snapshot file is the commit marker: a directory holding only the
+  // temp file of a save that never reached its rename is "no snapshot".
+  testkit::ScopedTempDir tmp("no_marker");
+  const std::string& dir = tmp.path();
+  const std::string committed = DirImage(*dir_).at(kSnapshotFile);
+  std::ofstream(dir + "/" + kSnapshotFile + ".tmp.12345", std::ios::binary)
+      << committed;
   EXPECT_FALSE(SnapshotExists(dir));
   EXPECT_EQ(LoadedLiteModel::Load(dir, runner_), nullptr);
-  fs::remove_all(dir);
+
+  // A whole, well-hashed container that lacks the meta blob is not a
+  // snapshot either.
+  std::map<std::string, std::string> blobs;
+  ASSERT_TRUE(EncodeSnapshotBlobs(*system_, &blobs));
+  blobs.erase("meta.txt");
+  ASSERT_TRUE(WriteSnapshotBlobs(blobs, dir));
+  EXPECT_TRUE(SnapshotExists(dir));
+  EXPECT_EQ(LoadedLiteModel::Load(dir, runner_), nullptr);
 }
 
 TEST_F(ModelPlaneModelTest, MixedVersionDirectoryIsRejectedWhole) {
-  const std::string dir = testing::TempDir() + "/mixed_dir";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  for (const auto& [name, bytes] : DirImage(*dir_)) {
-    std::ofstream(dir + "/" + name, std::ios::binary) << bytes;
-  }
+  testkit::ScopedTempDir tmp("mixed_dir");
+  const std::string& dir = tmp.path();
+  std::map<std::string, std::string> blobs;
+  ASSERT_TRUE(EncodeSnapshotBlobs(*system_, &blobs));
+  ASSERT_TRUE(WriteSnapshotBlobs(blobs, dir));
   ASSERT_NE(LoadedLiteModel::Load(dir, runner_), nullptr);
-  // Swap one data file for bytes from a different version: meta's per-part
-  // content hash must reject the whole directory.
-  std::ofstream(dir + "/necs_0.txt", std::ios::binary)
-      << "litenecs v1\nmutated 1\n";
-  EXPECT_EQ(LoadedLiteModel::Load(dir, runner_), nullptr);
-  fs::remove_all(dir);
+
+  // One blob's bytes come from a different version while the manifest
+  // still describes this one: the whole load fails, whether the foreign
+  // bytes differ in size or only in content.
+  const modelplane::Manifest manifest = modelplane::BuildManifest(0, blobs);
+  std::string other = blobs["necs_0.txt"];
+  other[other.size() / 2] = other[other.size() / 2] == '1' ? '2' : '1';
+  for (const std::string& foreign :
+       {std::string("litenecs v1\nmutated 1\n"), other}) {
+    std::vector<Blob> mixed;
+    for (const auto& [key, bytes] : blobs) {
+      mixed.push_back({key, key == "necs_0.txt" ? foreign : bytes});
+    }
+    std::string file;
+    ASSERT_TRUE(modelplane::EncodeContainer(manifest, mixed, &file));
+    std::ofstream(dir + "/" + kSnapshotFile, std::ios::binary | std::ios::trunc)
+        << file;
+    EXPECT_EQ(LoadedLiteModel::Load(dir, runner_), nullptr);
+  }
 }
 
 // --- Wire format ----------------------------------------------------------
@@ -331,7 +326,7 @@ PushMessage SamplePush(PushMessage::Kind kind) {
     blobs.erase("vocab.txt");  // delta ships only the changed subset.
   }
   for (const auto& [key, bytes] : blobs) {
-    msg.blobs.push_back(Blob{key, bytes, modelplane::HashBytes(bytes)});
+    msg.blobs.push_back(Blob{key, bytes});
   }
   return msg;
 }
@@ -427,6 +422,38 @@ TEST(WireTest, ChainMismatchIsRejected) {
   std::string why;
   EXPECT_FALSE(DecodePush(frame, Chain({}), &out, &why));
   EXPECT_NE(why.find("chain"), std::string::npos) << why;
+}
+
+TEST(WireTest, ContainerRejectsMissingExtraAndDuplicateBlobs) {
+  const std::map<std::string, std::string> blobs = {
+      {"meta.txt", "litesnapshot v1\n"}, {"necs_0.txt", "weights 1\n"}};
+  const Manifest manifest = modelplane::BuildManifest(0, blobs);
+  const auto decode = [&](const std::vector<Blob>& list,
+                          modelplane::BlobCheck check) {
+    std::string bytes, why;
+    EXPECT_TRUE(modelplane::EncodeContainer(manifest, list, &bytes));
+    Manifest got;
+    std::vector<Blob> out;
+    size_t pos = 0;
+    return modelplane::DecodeContainer(bytes, &pos, 0, check, &got, &out, &why);
+  };
+  const Blob meta{"meta.txt", blobs.at("meta.txt")};
+  const Blob necs{"necs_0.txt", blobs.at("necs_0.txt")};
+  const Blob extra{"stagehead.txt", "head 1\n"};
+  using modelplane::BlobCheck;
+  EXPECT_TRUE(decode({meta, necs}, BlobCheck::kComplete));
+  // A delta's subset decodes without its contents being hashed; a
+  // snapshot file must carry every entry.
+  EXPECT_TRUE(decode({necs}, BlobCheck::kKeysOnly));
+  EXPECT_FALSE(decode({necs}, BlobCheck::kComplete));
+  // Keys the manifest does not name, and keys given twice, fail both modes.
+  for (BlobCheck check : {BlobCheck::kComplete, BlobCheck::kKeysOnly}) {
+    EXPECT_FALSE(decode({meta, extra}, check));
+    EXPECT_FALSE(decode({necs, necs}, check));
+  }
+  // Contents that disagree with the manifest fail the complete check.
+  EXPECT_FALSE(decode({meta, Blob{"necs_0.txt", "weights 2\n"}},
+                      BlobCheck::kComplete));
 }
 
 // --- Plane server / puller protocol ---------------------------------------

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
+#include <sstream>
 
 #include "nn/encoders.h"
 #include "nn/layers.h"
@@ -197,29 +197,27 @@ TEST(TransformerTest, ForwardShape) {
 TEST(ModuleTest, SaveLoadRoundtrip) {
   Rng rng(13);
   Mlp mlp(6, 2, 1, &rng);
-  std::string path = testing::TempDir() + "/params.txt";
-  ASSERT_TRUE(SaveParams(mlp.Params(), path));
+  std::stringstream saved;
+  ASSERT_TRUE(SerializeParams(mlp.Params(), &saved));
 
   Rng rng2(99);
   Mlp other(6, 2, 1, &rng2);
   VarPtr input = Input(Tensor::Full({6}, 0.7f));
   float before = other.Predict(input)->value[0];
-  ASSERT_TRUE(LoadParams(other.Params(), path));
+  ASSERT_TRUE(DeserializeParams(&saved, other.Params()));
   float after = other.Predict(input)->value[0];
   float orig = mlp.Predict(input)->value[0];
   EXPECT_NE(before, after);
   EXPECT_FLOAT_EQ(after, orig);
-  std::remove(path.c_str());
 }
 
 TEST(ModuleTest, LoadRejectsShapeMismatch) {
   Rng rng(14);
   Mlp mlp(6, 2, 1, &rng);
-  std::string path = testing::TempDir() + "/params2.txt";
-  ASSERT_TRUE(SaveParams(mlp.Params(), path));
+  std::stringstream saved;
+  ASSERT_TRUE(SerializeParams(mlp.Params(), &saved));
   Mlp bigger(8, 2, 1, &rng);
-  EXPECT_FALSE(LoadParams(bigger.Params(), path));
-  std::remove(path.c_str());
+  EXPECT_FALSE(DeserializeParams(&saved, bigger.Params()));
 }
 
 TEST(ModuleTest, CopyAndSoftUpdate) {

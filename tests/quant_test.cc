@@ -13,13 +13,11 @@
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "lite/lite_system.h"
 #include "lite/qnecs.h"
-#include "lite/qsnapshot.h"
 #include "lite/snapshot.h"
 #include "nn/quantized.h"
 #include "serve/recommend_pipeline.h"
@@ -27,6 +25,7 @@
 #include "tensor/qkernels.h"
 #include "testkit/diff.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
 #include "util/rng.h"
 
 namespace lite {
@@ -574,11 +573,20 @@ TEST_F(QuantTest, BackendRoutingThroughScoreCandidateSet) {
   }
 }
 
+// Twins are derived on load, never stored: a model restored from a
+// snapshot must score bit for bit like the trained model it was saved from
+// on every quantized backend (the fp32 weights round-trip exactly and
+// quantization is deterministic).
 TEST_F(QuantTest, QuantizedSnapshotRoundTripIsBitIdentical) {
-  std::string dir = testing::TempDir() + "/quant_snapshot_roundtrip";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(SaveSnapshot(*system_, dir));
+  testkit::ScopedTempDir tmp("quant_snapshot_roundtrip");
+  ASSERT_TRUE(SaveSnapshot(*system_, tmp.path()));
+  std::unique_ptr<LoadedLiteModel> loaded =
+      LoadedLiteModel::Load(tmp.path(), runner_);
+  ASSERT_NE(loaded, nullptr);
+  std::vector<const NecsModel*> loaded_models;
+  for (size_t m = 0; m < loaded->ensemble_size(); ++m) {
+    loaded_models.push_back(loaded->model(m));
+  }
 
   testkit::GenOptions gopts;
   gopts.apps = {"TS", "PR", "KM"};
@@ -588,36 +596,14 @@ TEST_F(QuantTest, QuantizedSnapshotRoundTripIsBitIdentical) {
 
   for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
     SCOPED_TRACE(QuantBackendName(mode));
-    // Fresh quantize-on-load reference.
-    std::unique_ptr<LoadedLiteModel> fresh =
-        LoadedLiteModel::Load(dir, runner_);
-    ASSERT_NE(fresh, nullptr);
-    std::vector<const NecsModel*> fresh_models;
-    for (size_t m = 0; m < fresh->ensemble_size(); ++m) {
-      fresh_models.push_back(fresh->model(m));
-    }
     std::vector<double> want = ScoreCandidatesWithEnsembleQuantized(
-        runner_, fresh->feature_space(), fresh_models, *t.app, t.data, t.env,
-        pool, mode, 1);
-    ASSERT_TRUE(SaveQuantizedSnapshot(*fresh, mode, dir));
-
-    // A second load adopting the shipped quantized tensors must score bit
-    // for bit like fresh quantization.
-    std::unique_ptr<LoadedLiteModel> shipped =
-        LoadedLiteModel::Load(dir, runner_);
-    ASSERT_NE(shipped, nullptr);
-    ASSERT_TRUE(LoadQuantizedSnapshot(dir, shipped.get()));
-    std::vector<const NecsModel*> shipped_models;
-    for (size_t m = 0; m < shipped->ensemble_size(); ++m) {
-      shipped_models.push_back(shipped->model(m));
-    }
+        runner_, system_->corpus(), Models(), *t.app, t.data, t.env, pool,
+        mode, 1);
     std::vector<double> got = ScoreCandidatesWithEnsembleQuantized(
-        runner_, shipped->feature_space(), shipped_models, *t.app, t.data,
+        runner_, loaded->feature_space(), loaded_models, *t.app, t.data,
         t.env, pool, mode, 1);
-    EXPECT_EQ(got, want) << "shipped quantized tensors drifted; "
-                         << SeedNote();
+    EXPECT_EQ(got, want) << "twins derived on load drifted; " << SeedNote();
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(QuantBackendTest, NamesParseAndRoundTrip) {

@@ -20,8 +20,6 @@
 // ConcurrentClientsSwapsAndFeedbackWithRetrieval is part of the TSan CI job.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <future>
 #include <string>
 #include <thread>
@@ -36,6 +34,7 @@
 #include "sparksim/runner.h"
 #include "testkit/diff.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
 #include "util/rng.h"
 
 namespace lite {
@@ -269,7 +268,8 @@ TEST(RetrievalPersistenceTest, SaveLoadRoundTripPreservesRetrieval) {
   cache.InsertOutcome("tenant-b", "PR", 22, {5.0, -0.125},
                       MakeConfig(0.875), 98.7654321098765, 4, false);
 
-  const std::string path = testing::TempDir() + "/retrieval_index.txt";
+  testkit::ScopedTempDir tmp("retrieval_index");
+  const std::string path = tmp.path() + "/retrieval_index.txt";
   ASSERT_TRUE(cache.SaveIndex(path));
 
   RetrievalCache loaded(SmallCacheOptions());
@@ -287,12 +287,11 @@ TEST(RetrievalPersistenceTest, SaveLoadRoundTripPreservesRetrieval) {
     EXPECT_EQ(after[i].observed_seconds, before[i].observed_seconds)
         << "seed " << i;
   }
-  std::remove(path.c_str());
 
   // A missing file fails cleanly and leaves the loaded cache untouched.
   RetrievalCache untouched(SmallCacheOptions());
   untouched.InsertOutcome("t", "TS", 1, {1.0}, MakeConfig(0.5), 1.0, 1, false);
-  EXPECT_FALSE(untouched.LoadIndex(testing::TempDir() + "/no_such_index.txt"));
+  EXPECT_FALSE(untouched.LoadIndex(tmp.path() + "/no_such_index.txt"));
   EXPECT_EQ(untouched.index_size(), 1u);
 }
 
@@ -322,15 +321,15 @@ class RetrievalServiceTest : public ::testing::Test {
     runner_ = new spark::SparkRunner();
     LiteSystem system(runner_, TinyOptions());
     system.TrainOffline();
-    dir_ = new std::string(testing::TempDir() + "/retrieval_snapshot");
-    std::filesystem::create_directories(*dir_);
+    tmp_ = new testkit::ScopedTempDir("retrieval_snapshot");
+    dir_ = &tmp_->path();
     ASSERT_TRUE(SaveSnapshot(system, *dir_));
   }
 
   static void TearDownTestSuite() {
-    std::filesystem::remove_all(*dir_);
-    delete dir_;
+    delete tmp_;
     delete runner_;
+    tmp_ = nullptr;
     dir_ = nullptr;
     runner_ = nullptr;
   }
@@ -366,11 +365,13 @@ class RetrievalServiceTest : public ::testing::Test {
   }
 
   static spark::SparkRunner* runner_;
-  static std::string* dir_;
+  static testkit::ScopedTempDir* tmp_;
+  static const std::string* dir_;
 };
 
 spark::SparkRunner* RetrievalServiceTest::runner_ = nullptr;
-std::string* RetrievalServiceTest::dir_ = nullptr;
+testkit::ScopedTempDir* RetrievalServiceTest::tmp_ = nullptr;
+const std::string* RetrievalServiceTest::dir_ = nullptr;
 
 TEST_F(RetrievalServiceTest, ServiceOptionsValidationCoversRetrieval) {
   serve::ServiceOptions bad = CachedOptions();

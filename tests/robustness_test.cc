@@ -12,6 +12,7 @@
 #include "sparksim/faults.h"
 #include "sparksim/resilient_runner.h"
 #include "sparksim/runner.h"
+#include "testkit/temp_dir.h"
 #include "tuning/ddpg.h"
 #include "util/string_util.h"
 
@@ -151,8 +152,9 @@ TEST(SnapshotFuzz, CorruptedSnapshotsNeverCrashLoad) {
   LiteSystem system(&runner, opts);
   system.TrainOffline();
 
-  std::filesystem::path clean_dir =
-      std::filesystem::path(testing::TempDir()) / "lite_snapshot_fuzz_clean";
+  testkit::ScopedTempDir tmp("lite_snapshot_fuzz");
+  const std::filesystem::path clean_dir =
+      std::filesystem::path(tmp.path()) / "clean";
   std::filesystem::create_directories(clean_dir);
   ASSERT_TRUE(SaveSnapshot(system, clean_dir.string()));
 
@@ -162,8 +164,7 @@ TEST(SnapshotFuzz, CorruptedSnapshotsNeverCrashLoad) {
   }
   ASSERT_FALSE(files.empty());
 
-  std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "lite_snapshot_fuzz";
+  const std::filesystem::path dir = std::filesystem::path(tmp.path()) / "fuzz";
   Rng rng(4242);
   for (int trial = 0; trial < 40; ++trial) {
     // Fresh copy of the clean snapshot, then one mutation.
@@ -202,8 +203,6 @@ TEST(SnapshotFuzz, CorruptedSnapshotsNeverCrashLoad) {
       EXPECT_GE(loaded->ensemble_size(), 1u);
     }
   }
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(clean_dir);
 }
 
 // ---------------------------------------------------------------------------

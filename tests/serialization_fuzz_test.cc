@@ -1,6 +1,7 @@
-// Round-trip fuzzing of the two text serialization formats (Spark event
-// logs, Chrome traces): random truncations, byte flips, deletions and line
-// splices of valid documents must produce either a clean parse failure or a
+// Round-trip fuzzing of the serialization formats (Spark event logs, Chrome
+// traces, the snapshot file and its meta, the retrieval index, the model
+// plane's wire): random truncations, byte flips, deletions and line splices
+// of valid documents must produce either a clean parse failure or a
 // structurally sane result — never a crash, hang or out-of-bounds read
 // (this suite is part of the ASan CI job). Replayable via LITE_TEST_SEED.
 #include <gtest/gtest.h>
@@ -9,14 +10,13 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lite/lite_system.h"
-#include "lite/qsnapshot.h"
 #include "lite/snapshot.h"
 #include "modelplane/blob.h"
 #include "modelplane/plane_server.h"
@@ -31,6 +31,8 @@
 #include "sparksim/runner.h"
 #include "sparksim/trace.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace lite {
@@ -225,51 +227,92 @@ TEST(SerializationFuzzTest, ConcatenatedDocumentsDoNotCrash) {
 // ---------------------------------------------------------------------------
 // Snapshot meta.txt forward-compatibility: unknown keys written by a newer
 // exporter must be skipped with a warning (not hard-fail the load), and a
-// truncated meta file must produce a clean nullptr — never a crash or an
+// truncated meta blob must produce a clean nullptr — never a crash or an
 // out-of-bounds read (ASan enforces).
 
-/// One trained snapshot on disk, shared by the meta fuzz tests (training
-/// dominates; mutations only rewrite the small meta.txt).
-struct SnapshotFixture {
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Trains the tiny model the snapshot fuzz fixtures share (training
+/// dominates their runtime).
+std::unique_ptr<LiteSystem> TrainTinySystem(const spark::SparkRunner* runner,
+                                            bool stage_tuning) {
+  LiteOptions opts;
+  opts.corpus.apps = {"TS"};
+  opts.corpus.clusters = {spark::ClusterEnv::ClusterA()};
+  opts.corpus.configs_per_setting = 2;
+  opts.corpus.max_stage_instances_per_run = 4;
+  opts.corpus.max_code_tokens = 64;
+  opts.necs.emb_dim = 8;
+  opts.necs.cnn_widths = {3};
+  opts.necs.cnn_kernels = 4;
+  opts.necs.code_dim = 8;
+  opts.necs.gcn_hidden = 8;
+  opts.train.epochs = 1;
+  opts.num_candidates = 8;
+  opts.ensemble_size = 1;
+  opts.stage_tuning = stage_tuning;
+  opts.stage_head_train.epochs = 1;
+  auto system = std::make_unique<LiteSystem>(runner, opts);
+  system->TrainOffline();
+  return system;
+}
+
+/// One trained snapshot on disk plus its pristine blob set. Mutations edit
+/// single blobs and rewrite the file with a re-hashed manifest
+/// (WriteSnapshotBlobs), so they get past the container's checks and reach
+/// the part parsers.
+struct BlobSnapshot {
   spark::SparkRunner runner;
   std::unique_ptr<LiteSystem> system;
   std::string dir;
+  std::map<std::string, std::string> blobs;
+
+  void Init(bool stage_tuning, const std::string& dir_path) {
+    system = TrainTinySystem(&runner, stage_tuning);
+    dir = dir_path;
+    EXPECT_TRUE(SaveSnapshot(*system, dir));
+    EXPECT_TRUE(EncodeSnapshotBlobs(*system, &blobs));
+  }
+
+  /// Rewrites the snapshot with blob `name` replaced by `contents`.
+  void Write(const std::string& name, const std::string& contents) const {
+    std::map<std::string, std::string> edited = blobs;
+    edited[name] = contents;
+    EXPECT_TRUE(WriteSnapshotBlobs(edited, dir));
+  }
+
+  /// Rewrites the snapshot without blob `name`.
+  void Drop(const std::string& name) const {
+    std::map<std::string, std::string> edited = blobs;
+    edited.erase(name);
+    EXPECT_TRUE(WriteSnapshotBlobs(edited, dir));
+  }
+
+  void Restore() const { EXPECT_TRUE(WriteSnapshotBlobs(blobs, dir)); }
+};
+
+/// The headless snapshot shared by the meta and snapshot-file fuzz tests.
+struct SnapshotFixture : BlobSnapshot {
   std::string meta;  ///< pristine meta.txt contents.
 
   static SnapshotFixture& Get() {
+    static testkit::ScopedTempDir tmp("meta_fuzz_snapshot");
     static SnapshotFixture* f = [] {
       auto* fx = new SnapshotFixture();
-      LiteOptions opts;
-      opts.corpus.apps = {"TS"};
-      opts.corpus.clusters = {spark::ClusterEnv::ClusterA()};
-      opts.corpus.configs_per_setting = 2;
-      opts.corpus.max_stage_instances_per_run = 4;
-      opts.corpus.max_code_tokens = 64;
-      opts.necs.emb_dim = 8;
-      opts.necs.cnn_widths = {3};
-      opts.necs.cnn_kernels = 4;
-      opts.necs.code_dim = 8;
-      opts.necs.gcn_hidden = 8;
-      opts.train.epochs = 1;
-      opts.num_candidates = 8;
-      opts.ensemble_size = 1;
-      fx->system = std::make_unique<LiteSystem>(&fx->runner, opts);
-      fx->system->TrainOffline();
-      fx->dir = testing::TempDir() + "/meta_fuzz_snapshot";
-      std::filesystem::create_directories(fx->dir);
-      EXPECT_TRUE(SaveSnapshot(*fx->system, fx->dir));
-      std::ifstream in(fx->dir + "/meta.txt");
-      std::stringstream ss;
-      ss << in.rdbuf();
-      fx->meta = ss.str();
+      fx->Init(/*stage_tuning=*/false, tmp.path());
+      fx->meta = fx->blobs.at("meta.txt");
       return fx;
     }();
     return *f;
   }
 
   void WriteMeta(const std::string& contents) const {
-    std::ofstream out(dir + "/meta.txt", std::ios::trunc);
-    out << contents;
+    Write("meta.txt", contents);
   }
 };
 
@@ -344,6 +387,73 @@ TEST(SnapshotMetaFuzzTest, TruncatedMetaFailsCleanly) {
   EXPECT_NE(LoadedLiteModel::Load(fx.dir, &fx.runner), nullptr);
 }
 
+// --- The snapshot file: one fuzz target for model bytes -------------------
+//
+// Every model byte a process reads from disk comes through the snapshot
+// file, one container (the model plane's pushes embed the same one). Its
+// decoder checks the framing, the manifest checksum and every blob's size
+// and content hash against the manifest, so every strict prefix of the file
+// and every single-byte change must make Load return nullptr — never a
+// crash or an out-of-bounds read (ASan enforces).
+
+/// Load over the snapshot as it is on disk, with the per-rejection warning
+/// muted (these loops reject thousands of files).
+bool LoadsQuietly(const SnapshotFixture& fx) {
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);
+  const bool loaded = LoadedLiteModel::Load(fx.dir, &fx.runner) != nullptr;
+  SetLogLevel(level);
+  return loaded;
+}
+
+TEST(SnapshotFileFuzzTest, EveryTruncationIsRejected) {
+  SnapshotFixture& fx = SnapshotFixture::Get();
+  fx.Restore();
+  const std::string path = fx.dir + "/" + kSnapshotFile;
+  const size_t size = ReadFile(path).size();
+  ASSERT_GT(size, 0u);
+  ASSERT_TRUE(LoadsQuietly(fx));
+
+  size_t accepted = 0, example = 0;
+  for (size_t len = size; len-- > 0;) {
+    std::filesystem::resize_file(path, len);
+    if (LoadsQuietly(fx)) {
+      ++accepted;
+      example = len;
+    }
+  }
+  EXPECT_EQ(accepted, 0u) << "e.g. the " << example << "-byte prefix of "
+                          << size << " loaded";
+  fx.Restore();
+  EXPECT_TRUE(LoadsQuietly(fx));
+}
+
+TEST(SnapshotFileFuzzTest, SingleByteFlipsAreRejected) {
+  SnapshotFixture& fx = SnapshotFixture::Get();
+  fx.Restore();
+  const std::string path = fx.dir + "/" + kSnapshotFile;
+  const std::string file = ReadFile(path);
+  ASSERT_FALSE(file.empty());
+  Rng rng(testkit::SeedFromEnv() ^ 0xf11b5);
+
+  size_t accepted = 0, example = 0;
+  const size_t rounds = std::max<size_t>(512, testkit::CasesFromEnv());
+  for (size_t i = 0; i < rounds; ++i) {
+    std::string bad = file;
+    const size_t at = rng.Index(bad.size());
+    bad[at] = static_cast<char>(bad[at] ^ (1 + rng.Index(255)));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+    if (LoadsQuietly(fx)) {
+      ++accepted;
+      example = at;
+    }
+  }
+  EXPECT_EQ(accepted, 0u) << "e.g. a flip at byte " << example << " loaded; "
+                          << SeedNote();
+  fx.Restore();
+  EXPECT_TRUE(LoadsQuietly(fx));
+}
+
 // --- Retrieval index (`literetrieval v1`) fuzzing -------------------------
 //
 // The retrieval cache's index file is the one serving-layer artifact loaded
@@ -371,24 +481,17 @@ std::string BuildIndexDoc(uint64_t seed) {
                         "TS", 100 + i, embedding, config,
                         5.0 + rng.Uniform() * 50.0, 1, i == 0);
   }
-  const std::string path = testing::TempDir() + "/fuzz_index_base.txt";
+  testkit::ScopedTempDir tmp("fuzz_index_base");
+  const std::string path = tmp.path() + "/index.txt";
   EXPECT_TRUE(cache.SaveIndex(path));
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::filesystem::remove(path);
-  return ss.str();
+  return ReadFile(path);
 }
 
 bool LoadIndexDoc(const std::string& doc, serve::RetrievalCache* cache) {
-  const std::string path = testing::TempDir() + "/fuzz_index_mut.txt";
-  {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << doc;
-  }
-  const bool ok = cache->LoadIndex(path);
-  std::filesystem::remove(path);
-  return ok;
+  testkit::ScopedTempDir tmp("fuzz_index_mut");
+  const std::string path = tmp.path() + "/index.txt";
+  std::ofstream(path, std::ios::trunc | std::ios::binary) << doc;
+  return cache->LoadIndex(path);
 }
 
 TEST(RetrievalIndexFuzzTest, LoaderSurvivesCorruption) {
@@ -490,250 +593,10 @@ TEST(RetrievalIndexFuzzTest, DegenerateInputsRejectedCleanly) {
   EXPECT_EQ(cache.index_size(), 0u);
 }
 
-// --- QuantizedSnapshot (`liteqsnapshot v1`) fuzzing -----------------------
-//
-// The quantized-twin loader (lite/qsnapshot.h) installs int8/fp16 tensors
-// the serving path dereferences without further checks, so every corrupt
-// document must either be rejected before anything commits — pre-existing
-// twins untouched, bit for bit — or parse into structurally valid tensors.
-// Scales are the sharp edge: a NaN/inf/zero scale poisons every score.
-
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-struct QSnapshotFixture {
-  std::unique_ptr<LoadedLiteModel> model;
-  std::string qdir;
-  std::string qmeta;    ///< pristine qmeta.txt contents.
-  std::string tensors;  ///< pristine qnecs_0.txt contents.
-  std::vector<spark::Config> pool;
-  const spark::ApplicationSpec* app = nullptr;
-  spark::DataSpec data;
-  spark::ClusterEnv env = spark::ClusterEnv::ClusterA();
-
-  static QSnapshotFixture& Get() {
-    static QSnapshotFixture* f = [] {
-      auto* fx = new QSnapshotFixture();
-      SnapshotFixture& base = SnapshotFixture::Get();
-      base.WriteMeta(base.meta);  // the meta fuzzers may have run first.
-      fx->model = LoadedLiteModel::Load(base.dir, &base.runner);
-      EXPECT_NE(fx->model, nullptr);
-      fx->qdir = testing::TempDir() + "/qsnapshot_fuzz";
-      std::filesystem::create_directories(fx->qdir);
-      EXPECT_TRUE(
-          SaveQuantizedSnapshot(*fx->model, QuantBackend::kInt8, fx->qdir));
-      fx->qmeta = Slurp(fx->qdir + "/qmeta.txt");
-      fx->tensors = Slurp(fx->qdir + "/qnecs_0.txt");
-      fx->app = spark::AppCatalog::Find("TS");
-      fx->data = fx->app->MakeData(fx->app->test_size_mb);
-      Rng rng(0x9dba5);
-      for (int i = 0; i < 4; ++i) {
-        fx->pool.push_back(spark::KnobSpace::Spark16().RandomConfig(&rng));
-      }
-      return fx;
-    }();
-    return *f;
-  }
-
-  void Write(const std::string& name, const std::string& contents) const {
-    std::ofstream out(qdir + "/" + name, std::ios::trunc | std::ios::binary);
-    out << contents;
-  }
-  void Restore() const {
-    Write("qmeta.txt", qmeta);
-    Write("qnecs_0.txt", tensors);
-  }
-  bool Load() const { return LoadQuantizedSnapshot(qdir, model.get()); }
-  std::vector<double> Score() const {
-    SnapshotFixture& base = SnapshotFixture::Get();
-    std::vector<const NecsModel*> models = {model->model(0)};
-    return ScoreCandidatesWithEnsembleQuantized(
-        &base.runner, model->feature_space(), models, *app, data, env, pool,
-        QuantBackend::kInt8, 1);
-  }
-};
-
-/// Rewrites the first weight row of the first quantized layer: tokenizes the
-/// line after the first "layer ..." header, applies `edit`, rejoins.
-std::string WithFirstLayerRow(
-    const std::string& doc,
-    const std::function<void(std::vector<std::string>*)>& edit) {
-  size_t header = doc.find("\nlayer ");
-  EXPECT_NE(header, std::string::npos);
-  size_t row_start = doc.find('\n', header + 1) + 1;
-  size_t row_end = doc.find('\n', row_start);
-  EXPECT_NE(row_end, std::string::npos);
-  std::istringstream row(doc.substr(row_start, row_end - row_start));
-  std::vector<std::string> tokens;
-  std::string tok;
-  while (row >> tok) tokens.push_back(tok);
-  edit(&tokens);
-  std::string rebuilt;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    rebuilt += tokens[i];
-    if (i + 1 < tokens.size()) rebuilt += ' ';
-  }
-  return doc.substr(0, row_start) + rebuilt + doc.substr(row_end);
-}
-
-TEST(QuantizedSnapshotFuzzTest, LoaderSurvivesCorruption) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  uint64_t seed = testkit::SeedFromEnv();
-  Rng rng(seed ^ 0x95a7u);
-
-  fx.Restore();
-  ASSERT_TRUE(fx.Load());
-  const std::vector<double> pristine = fx.Score();
-  for (double s : pristine) ASSERT_TRUE(std::isfinite(s));
-
-  size_t rounds = std::max<size_t>(60, testkit::CasesFromEnv());
-  for (size_t i = 0; i < rounds; ++i) {
-    // Re-arm the pristine twins so "model untouched" means one thing.
-    fx.Restore();
-    ASSERT_TRUE(fx.Load());
-    fx.Write("qnecs_0.txt", Mutate(fx.tensors, &rng));
-    if (fx.Load()) {
-      // Committed: the tensors passed validation, so scoring through them
-      // must at least stay finite (no NaN scale slipped through).
-      for (double s : fx.Score()) {
-        EXPECT_TRUE(std::isfinite(s)) << "round " << i << "; " << SeedNote();
-      }
-    } else {
-      // Rejected: parse-to-temp-commit — the twins installed before the
-      // corrupt load must score bit-identically.
-      EXPECT_EQ(fx.Score(), pristine)
-          << "failed load perturbed the installed twins; round " << i << "; "
-          << SeedNote();
-    }
-  }
-  fx.Restore();
-}
-
-TEST(QuantizedSnapshotFuzzTest, CorruptedScalesAndZeroPointsRejected) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  using Edit = std::function<void(std::vector<std::string>*)>;
-  // Token layout of an int8 weight row: scale zero_point code...
-  const std::vector<std::pair<std::string, Edit>> corruptions = {
-      {"nan scale", [](std::vector<std::string>* t) { (*t)[0] = "nan"; }},
-      {"inf scale", [](std::vector<std::string>* t) { (*t)[0] = "inf"; }},
-      {"-inf scale", [](std::vector<std::string>* t) { (*t)[0] = "-inf"; }},
-      {"zero scale", [](std::vector<std::string>* t) { (*t)[0] = "0"; }},
-      {"negative scale", [](std::vector<std::string>* t) { (*t)[0] = "-0.5"; }},
-      {"absurd zero-point",
-       [](std::vector<std::string>* t) { (*t)[1] = "99999999"; }},
-      {"non-numeric zero-point",
-       [](std::vector<std::string>* t) { (*t)[1] = "zp"; }},
-      {"code above int8 range",
-       [](std::vector<std::string>* t) { (*t)[2] = "300"; }},
-      {"code below int8 range",
-       [](std::vector<std::string>* t) { (*t)[2] = "-300"; }},
-  };
-  for (const auto& [label, edit] : corruptions) {
-    fx.Restore();
-    ASSERT_TRUE(fx.Load());
-    const std::vector<double> before = fx.Score();
-    fx.Write("qnecs_0.txt", WithFirstLayerRow(fx.tensors, edit));
-    EXPECT_FALSE(fx.Load()) << "accepted " << label;
-    EXPECT_EQ(fx.Score(), before)
-        << "rejected " << label << " but perturbed the installed twins";
-  }
-  fx.Restore();
-}
-
-TEST(QuantizedSnapshotFuzzTest, TruncatedTensorFilesFailCleanly) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  uint64_t seed = testkit::SeedFromEnv();
-  Rng rng(seed ^ 0x7bcau);
-
-  fx.Restore();
-  ASSERT_TRUE(fx.Load());
-  const std::vector<double> pristine = fx.Score();
-
-  size_t rounds = std::max<size_t>(60, testkit::CasesFromEnv());
-  for (size_t i = 0; i < rounds; ++i) {
-    size_t cut = rng.Index(fx.tensors.size());
-    fx.Write("qnecs_0.txt", fx.tensors.substr(0, cut));
-    // Only a cut that preserves the trailing "end" sentinel can load; any
-    // mid-tensor truncation must fail and leave the twins untouched.
-    if (!fx.Load()) {
-      EXPECT_EQ(fx.Score(), pristine)
-          << "cut=" << cut << "; " << SeedNote();
-    }
-  }
-  // Degenerate tensor files are always rejected.
-  for (const std::string& doc :
-       {std::string(), std::string("qnecs v1\n"),
-        std::string("wrongmagic v1\ncnn none\nmlp 0\nend\n"),
-        std::string("qnecs v2\ncnn none\nmlp 0\nend\n")}) {
-    fx.Write("qnecs_0.txt", doc);
-    EXPECT_FALSE(fx.Load()) << "accepted tensor junk of size " << doc.size();
-  }
-  fx.Restore();
-}
-
-TEST(QuantizedSnapshotFuzzTest, UnknownQmetaKeysAreSkippedNotFatal) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  fx.Restore();
-  ASSERT_TRUE(fx.Load());
-  const std::vector<double> want = fx.Score();
-
-  std::vector<std::string> futures = {
-      fx.qmeta + "calibration_temp 0.85\n",
-      fx.qmeta + "note produced by a newer exporter\nexport_sha 3f9ab2\n",
-      fx.qmeta + "experimental_flag\n",
-      fx.qmeta + "trailing_key_without_newline 1",
-  };
-  // Unknown keys between known ones, not just appended.
-  size_t first_nl = fx.qmeta.find('\n');
-  ASSERT_NE(first_nl, std::string::npos);
-  std::string interleaved = fx.qmeta;
-  interleaved.insert(first_nl + 1, "provenance run-2031-01 cluster-x\n");
-  futures.push_back(interleaved);
-
-  for (const std::string& doc : futures) {
-    fx.Restore();
-    fx.Write("qmeta.txt", doc);
-    ASSERT_TRUE(fx.Load()) << "rejected forward-compatible qmeta:\n" << doc;
-    EXPECT_EQ(fx.Score(), want) << "unknown qmeta key steered scoring";
-  }
-  fx.Restore();
-}
-
-TEST(QuantizedSnapshotFuzzTest, DegenerateQmetaRejectedCleanly) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  fx.Restore();
-  ASSERT_TRUE(fx.Load());
-  const std::vector<double> before = fx.Score();
-  for (const std::string& doc : {
-           std::string(),
-           std::string("liteqsnapshot v1\n"),  // no backend/ensemble.
-           std::string("wrongmagic v1\nbackend int8\nensemble 1\n"),
-           std::string("liteqsnapshot v2\nbackend int8\nensemble 1\n"),
-           // The exact backend has no quantized tensors to ship.
-           std::string("liteqsnapshot v1\nbackend exact\nensemble 1\n"),
-           std::string("liteqsnapshot v1\nbackend int4\nensemble 1\n"),
-           std::string("liteqsnapshot v1\nbackend int8\nensemble 0\n"),
-           std::string("liteqsnapshot v1\nbackend int8\nensemble 999\n"),
-           // Ensemble size disagreeing with the loaded model.
-           std::string("liteqsnapshot v1\nbackend int8\nensemble 2\n"),
-           std::string("liteqsnapshot v1\nbackend int8\nensemble -1\n"),
-       }) {
-    fx.Write("qmeta.txt", doc);
-    EXPECT_FALSE(fx.Load()) << "accepted qmeta:\n" << doc;
-    EXPECT_EQ(fx.Score(), before) << "rejected qmeta perturbed twins:\n"
-                                  << doc;
-  }
-  fx.Restore();
-}
-
 // --- Stage-head snapshot section (`stagehead.txt` + meta flag) fuzzing ----
 //
-// The per-stage head rides in the snapshot as one more parameter file,
-// announced by the `stagehead` meta key. Corrupting that file must fail the
+// The per-stage head rides in the snapshot as one more parameter blob,
+// announced by the `stagehead` meta key. Corrupting that blob must fail the
 // load cleanly (nullptr) or yield a model whose planner still emits
 // validate-passing staged configs; older snapshots without the key load
 // headless; and degenerate or out-of-range overrides fed back through the
@@ -741,61 +604,22 @@ TEST(QuantizedSnapshotFuzzTest, DegenerateQmetaRejectedCleanly) {
 
 /// One trained snapshot *with* a stage head, shared by the stage-head fuzz
 /// tests (training dominates; mutations only rewrite stagehead.txt/meta).
-struct StageHeadFixture {
-  spark::SparkRunner runner;
-  std::unique_ptr<LiteSystem> system;
-  std::string dir;
-  std::string meta;       ///< pristine meta.txt contents.
-  std::string head_doc;   ///< pristine stagehead.txt contents.
+struct StageHeadFixture : BlobSnapshot {
+  std::string meta;      ///< pristine meta.txt contents.
+  std::string head_doc;  ///< pristine stagehead.txt contents.
 
   static StageHeadFixture& Get() {
+    static testkit::ScopedTempDir tmp("stage_head_fuzz_snapshot");
     static StageHeadFixture* f = [] {
       auto* fx = new StageHeadFixture();
-      LiteOptions opts;
-      opts.corpus.apps = {"TS"};
-      opts.corpus.clusters = {spark::ClusterEnv::ClusterA()};
-      opts.corpus.configs_per_setting = 2;
-      opts.corpus.max_stage_instances_per_run = 4;
-      opts.corpus.max_code_tokens = 64;
-      opts.necs.emb_dim = 8;
-      opts.necs.cnn_widths = {3};
-      opts.necs.cnn_kernels = 4;
-      opts.necs.code_dim = 8;
-      opts.necs.gcn_hidden = 8;
-      opts.train.epochs = 1;
-      opts.num_candidates = 8;
-      opts.ensemble_size = 1;
-      opts.stage_tuning = true;
-      opts.stage_head_train.epochs = 1;
-      fx->system = std::make_unique<LiteSystem>(&fx->runner, opts);
-      fx->system->TrainOffline();
+      fx->Init(/*stage_tuning=*/true, tmp.path());
       EXPECT_NE(fx->system->stage_head(), nullptr);
-      fx->dir = testing::TempDir() + "/stage_head_fuzz_snapshot";
-      std::filesystem::create_directories(fx->dir);
-      EXPECT_TRUE(SaveSnapshot(*fx->system, fx->dir));
-      fx->meta = ReadFile(fx->dir + "/meta.txt");
-      fx->head_doc = ReadFile(fx->dir + "/stagehead.txt");
+      fx->meta = fx->blobs.at("meta.txt");
+      fx->head_doc = fx->blobs.at("stagehead.txt");
       EXPECT_FALSE(fx->head_doc.empty());
       return fx;
     }();
     return *f;
-  }
-
-  static std::string ReadFile(const std::string& path) {
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  }
-
-  void Write(const std::string& name, const std::string& contents) const {
-    std::ofstream out(dir + "/" + name, std::ios::trunc);
-    out << contents;
-  }
-
-  void Restore() const {
-    Write("meta.txt", meta);
-    Write("stagehead.txt", head_doc);
   }
 };
 
@@ -822,9 +646,10 @@ TEST(StageHeadFuzzTest, HeadFileSurvivesCorruption) {
     EXPECT_TRUE(spark::ValidateStagedConfig(plan.staged, *app, &why))
         << why << "\n  " << SeedNote();
   }
-  // A deleted head file with the meta flag still set fails the whole load
-  // cleanly — a half-present snapshot is worse than none.
-  std::filesystem::remove(fx.dir + "/stagehead.txt");
+  // A snapshot without the head blob but with the meta flag still set
+  // fails the whole load cleanly — a half-present snapshot is worse than
+  // none.
+  fx.Drop("stagehead.txt");
   EXPECT_EQ(LoadedLiteModel::Load(fx.dir, &fx.runner), nullptr);
   fx.Restore();
   EXPECT_NE(LoadedLiteModel::Load(fx.dir, &fx.runner), nullptr);
@@ -950,7 +775,7 @@ modelplane::PushMessage MakePlanePush(
   msg.manifest = modelplane::BuildManifest(version, blobs);
   for (const auto& [key, bytes] : blobs) {
     msg.blobs.push_back(
-        modelplane::Blob{key, bytes, modelplane::HashBytes(bytes)});
+        modelplane::Blob{key, bytes});
   }
   return msg;
 }

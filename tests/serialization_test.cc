@@ -1,15 +1,14 @@
-// Persistence roundtrips: trees, forests, GBDT ensembles, vocabularies, and
-// full LiteSystem snapshots.
+// Persistence roundtrips: trees, forests, vocabularies, and full LiteSystem
+// snapshots.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "lite/snapshot.h"
 #include "lite/vocab.h"
 #include "ml/serialization.h"
 #include "sparksim/dag.h"
+#include "testkit/temp_dir.h"
 
 namespace lite {
 namespace {
@@ -41,7 +40,7 @@ TEST(SerializationTest, TreeRoundtrip) {
   }
 }
 
-TEST(SerializationTest, ForestRoundtripViaFile) {
+TEST(SerializationTest, ForestRoundtrip) {
   Rng rng(2);
   auto x = MakeX(&rng, 150, 2);
   std::vector<double> y;
@@ -49,33 +48,14 @@ TEST(SerializationTest, ForestRoundtripViaFile) {
   RandomForestRegressor forest(ForestOptions{.num_trees = 8});
   forest.Fit(x, y, &rng);
 
-  std::string path = testing::TempDir() + "/forest.txt";
-  ASSERT_TRUE(SaveForestToFile(forest, path));
+  std::stringstream ss;
+  SerializeForest(forest, &ss);
   RandomForestRegressor loaded;
-  ASSERT_TRUE(LoadForestFromFile(path, &loaded));
+  ASSERT_TRUE(DeserializeForest(&ss, &loaded));
   EXPECT_EQ(loaded.NumTrees(), 8u);
   for (int i = 0; i < 20; ++i) {
     std::vector<double> q{rng.Uniform(), rng.Uniform()};
     EXPECT_DOUBLE_EQ(loaded.Predict(q), forest.Predict(q));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, GbdtRoundtrip) {
-  Rng rng(3);
-  auto x = MakeX(&rng, 200, 2);
-  std::vector<double> y;
-  for (const auto& row : x) y.push_back(std::sin(4 * row[0]) + row[1]);
-  GbdtRegressor gbdt(GbdtOptions{.num_rounds = 20});
-  gbdt.Fit(x, y, &rng);
-
-  std::stringstream ss;
-  SerializeGbdt(gbdt, &ss);
-  GbdtRegressor loaded;
-  ASSERT_TRUE(DeserializeGbdt(&ss, &loaded));
-  for (int i = 0; i < 20; ++i) {
-    std::vector<double> q{rng.Uniform(), rng.Uniform()};
-    EXPECT_DOUBLE_EQ(loaded.Predict(q), gbdt.Predict(q));
   }
 }
 
@@ -137,11 +117,10 @@ TEST(SnapshotTest, SaveLoadRecommendAgrees) {
   LiteSystem system(&runner, opts);
   system.TrainOffline();
 
-  std::string dir = testing::TempDir() + "/lite_snapshot";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(SaveSnapshot(system, dir));
+  testkit::ScopedTempDir tmp("lite_snapshot");
+  ASSERT_TRUE(SaveSnapshot(system, tmp.path()));
 
-  auto loaded = LoadedLiteModel::Load(dir, &runner);
+  auto loaded = LoadedLiteModel::Load(tmp.path(), &runner);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->ensemble_size(), 2u);
 
@@ -155,7 +134,6 @@ TEST(SnapshotTest, SaveLoadRecommendAgrees) {
   EXPECT_EQ(restored.config, orig.config);
   EXPECT_NEAR(restored.predicted_seconds, orig.predicted_seconds,
               1e-4 * (1.0 + orig.predicted_seconds));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotTest, LoadRejectsMissingDir) {
@@ -166,7 +144,9 @@ TEST(SnapshotTest, LoadRejectsMissingDir) {
 TEST(SnapshotTest, SaveRequiresTrainedSystem) {
   spark::SparkRunner runner;
   LiteSystem system(&runner, LiteOptions{});
-  EXPECT_FALSE(SaveSnapshot(system, testing::TempDir()));
+  testkit::ScopedTempDir tmp("untrained_snapshot");
+  EXPECT_FALSE(SaveSnapshot(system, tmp.path()));
+  EXPECT_FALSE(SnapshotExists(tmp.path()));
 }
 
 }  // namespace

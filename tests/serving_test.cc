@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <future>
 #include <limits>
 #include <thread>
@@ -25,6 +24,7 @@
 #include "serve/recommend_pipeline.h"
 #include "serve/tuning_service.h"
 #include "sparksim/runner.h"
+#include "testkit/temp_dir.h"
 #include "util/thread_pool.h"
 
 namespace lite {
@@ -60,16 +60,16 @@ class ServingTest : public ::testing::Test {
     runner_ = new spark::SparkRunner();
     system_ = new LiteSystem(runner_, TinyOptions(/*ensemble=*/2));
     system_->TrainOffline();
-    dir_ = new std::string(testing::TempDir() + "/serving_snapshot");
-    std::filesystem::create_directories(*dir_);
+    tmp_ = new testkit::ScopedTempDir("serving_snapshot");
+    dir_ = &tmp_->path();
     ASSERT_TRUE(SaveSnapshot(*system_, *dir_));
   }
 
   static void TearDownTestSuite() {
-    std::filesystem::remove_all(*dir_);
-    delete dir_;
+    delete tmp_;
     delete system_;
     delete runner_;
+    tmp_ = nullptr;
     dir_ = nullptr;
     system_ = nullptr;
     runner_ = nullptr;
@@ -93,12 +93,14 @@ class ServingTest : public ::testing::Test {
 
   static spark::SparkRunner* runner_;
   static LiteSystem* system_;
-  static std::string* dir_;
+  static testkit::ScopedTempDir* tmp_;
+  static const std::string* dir_;
 };
 
 spark::SparkRunner* ServingTest::runner_ = nullptr;
 LiteSystem* ServingTest::system_ = nullptr;
-std::string* ServingTest::dir_ = nullptr;
+testkit::ScopedTempDir* ServingTest::tmp_ = nullptr;
+const std::string* ServingTest::dir_ = nullptr;
 
 // The acceptance differential: one snapshot, one seed => one bit pattern,
 // whichever surface serves it, at every scoring thread count, and across a

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "sparksim/stage_planner.h"
 #include "testkit/gen.h"
 #include "testkit/oracle.h"
+#include "testkit/temp_dir.h"
 
 namespace lite {
 namespace {
@@ -479,10 +479,9 @@ TEST(LiteSystemStageTest, DisabledByDefaultHasNoHead) {
 
 TEST(SnapshotStageTest, HeadRoundTripsAndClonePlansIdentically) {
   TrainedFixture& fx = TrainedFixture::Get();
-  std::string dir = testing::TempDir() + "/stage_tuning_snapshot";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(SaveSnapshot(*fx.system, dir));
-  auto loaded = LoadedLiteModel::Load(dir, &fx.runner);
+  testkit::ScopedTempDir tmp("stage_tuning_snapshot");
+  ASSERT_TRUE(SaveSnapshot(*fx.system, tmp.path()));
+  auto loaded = LoadedLiteModel::Load(tmp.path(), &fx.runner);
   ASSERT_NE(loaded, nullptr);
   ASSERT_NE(loaded->stage_head(), nullptr);
 
@@ -510,21 +509,16 @@ TEST(SnapshotStageTest, HeadRoundTripsAndClonePlansIdentically) {
   spark::StagePlan cloned = clone->PlanStages(*fx.app, fx.data, fx.env,
                                               want.base.config, {});
   EXPECT_EQ(cloned.planned_seconds, got.planned_seconds);
-  std::filesystem::remove_all(dir);
 }
 
 // --- Serving endpoints ----------------------------------------------------
 
 struct ServiceFixture {
   TrainedFixture* base = &TrainedFixture::Get();
-  std::string dir;
+  testkit::ScopedTempDir tmp{"stage_tuning_service_snapshot"};
+  const std::string& dir = tmp.path();
 
-  ServiceFixture() {
-    dir = testing::TempDir() + "/stage_tuning_service_snapshot";
-    std::filesystem::create_directories(dir);
-    EXPECT_TRUE(SaveSnapshot(*base->system, dir));
-  }
-  ~ServiceFixture() { std::filesystem::remove_all(dir); }
+  ServiceFixture() { EXPECT_TRUE(SaveSnapshot(*base->system, dir)); }
 };
 
 TEST(ServiceStageTest, DisabledFeatureDegradesAndRejects) {
@@ -616,8 +610,8 @@ TEST(ServiceStageTest, HeadlessSnapshotRejectsRetune) {
   opts.ensemble_size = 1;
   LiteSystem headless(&runner, opts);
   headless.TrainOffline();
-  std::string dir = testing::TempDir() + "/stage_tuning_headless_snapshot";
-  std::filesystem::create_directories(dir);
+  testkit::ScopedTempDir tmp("stage_tuning_headless_snapshot");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(SaveSnapshot(headless, dir));
 
   serve::ServiceOptions sopts;
@@ -637,7 +631,6 @@ TEST(ServiceStageTest, HeadlessSnapshotRejectsRetune) {
       {KnobSpace::Spark16().DefaultConfig(), {}}, std::vector<StageEvent>{});
   EXPECT_FALSE(rr.ok);
   EXPECT_NE(rr.error.find("stage head"), std::string::npos) << rr.error;
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceStageTest, InvalidValuesPerKnobRejectedAtConstruction) {
