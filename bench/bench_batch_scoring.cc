@@ -1,17 +1,20 @@
-// Candidate-scoring throughput: the legacy scalar loop (per-candidate
-// featurization + per-stage autodiff towers) against the batched path
-// (featurize once, cached encoders, one matrix-matrix tower pass per
-// candidate) single-threaded and sharded across the thread pool. Both
-// systems train with identical seeds, so the score vectors must match bit
-// for bit — the harness verifies that before it reports any timing.
+// Candidate-scoring throughput: the per-candidate reference loop
+// (testkit::ReferenceScores: per-candidate featurization + per-stage
+// autodiff towers) against the scoring engine (serve::ScoreCandidateSet:
+// featurize once, one knob-free plan per member, one tower pass per block
+// of stacked candidates) single-threaded and sharded across the thread
+// pool. The score vectors must match bit for bit — the harness verifies
+// that before it reports any timing.
 //
-// Acceptance (printed at the end): at the 1000-candidate pool the batched
-// multi-threaded path is >= 5x the scalar loop with an identical argmin.
+// Acceptance (printed at the end): at the 1000-candidate pool the engine
+// on the shared pool is >= 5x the reference loop with an identical argmin.
 #include <chrono>
 #include <iostream>
 #include <thread>
 
 #include "bench/bench_common.h"
+#include "serve/recommend_pipeline.h"
+#include "testkit/diff.h"
 
 using namespace lite;
 using namespace lite::bench;
@@ -25,15 +28,13 @@ double TimeSeconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-LiteOptions ScoringOptions(const ScaleProfile& profile, bool batched) {
+LiteOptions BenchOptions(const ScaleProfile& profile) {
   LiteOptions opts;
   opts.corpus = MakeCorpusOptions(profile, {"TS", "PR", "KM"},
                                   {spark::ClusterEnv::ClusterA()});
   opts.necs = profile.necs;
   opts.train.epochs = profile.name == "smoke" ? 3 : 8;
   opts.ensemble_size = 1;  // throughput comparison; ensembles scale both paths.
-  opts.batched_scoring = batched;
-  opts.scoring_threads = batched ? 0 : 1;
   return opts;
 }
 
@@ -46,23 +47,20 @@ int main() {
             << ", cores=" << cores << ")\n";
 
   spark::SparkRunner runner;
-  // Identical seeds -> bit-identical weights; only the scoring path differs.
-  LiteSystem batched(&runner, ScoringOptions(profile, true));
-  batched.TrainOffline();
-  LiteSystem scalar(&runner, ScoringOptions(profile, false));
-  scalar.TrainOffline();
+  LiteSystem system(&runner, BenchOptions(profile));
+  system.TrainOffline();
 
   const auto* app = spark::AppCatalog::Find("PR");
   spark::DataSpec data = app->MakeData(app->test_size_mb);
   const spark::ClusterEnv env = spark::ClusterEnv::ClusterC();
-  std::vector<const NecsModel*> models{batched.model()};
+  std::vector<const NecsModel*> models{system.model()};
 
   std::vector<size_t> pools = profile.name == "smoke"
                                   ? std::vector<size_t>{50, 200}
                                   : std::vector<size_t>{100, 1000, 10000};
 
-  TablePrinter table({"Pool", "Scalar (s)", "Batched 1T (s)",
-                      "Batched MT (s)", "Speedup MT/scalar", "Identical"});
+  TablePrinter table({"Pool", "Reference (s)", "Engine 1T (s)",
+                      "Engine MT (s)", "Speedup MT/ref", "Identical"});
   bool all_identical = true;
   double speedup_at_1k = 0.0;
   std::vector<BenchJsonField> json_fields{
@@ -78,17 +76,22 @@ int main() {
     }
 
     std::vector<double> s_scores, b1_scores, bm_scores;
-    double t_scalar = TimeSeconds(
-        [&] { s_scores = scalar.ScoreCandidates(*app, data, env, candidates); });
-    batched.model()->InvalidateCache();
-    double t_b1 = TimeSeconds([&] {
-      b1_scores = ScoreCandidatesWithEnsemble(&runner, batched.corpus(), models,
-                                              *app, data, env, candidates, 1);
+    system.model()->InvalidateCache();
+    double t_scalar = TimeSeconds([&] {
+      s_scores = testkit::ReferenceScores(&runner, system.corpus(), models,
+                                          *app, data, env, candidates);
     });
-    batched.model()->InvalidateCache();
+    system.model()->InvalidateCache();
+    double t_b1 = TimeSeconds([&] {
+      b1_scores = serve::ScoreCandidateSet(
+          &runner, system.corpus(), models, *app, data, env, candidates,
+          serve::ScoringOptions{.threads = 1});
+    });
+    system.model()->InvalidateCache();
     double t_bm = TimeSeconds([&] {
-      bm_scores = ScoreCandidatesWithEnsemble(&runner, batched.corpus(), models,
-                                              *app, data, env, candidates, 0);
+      bm_scores = serve::ScoreCandidateSet(
+          &runner, system.corpus(), models, *app, data, env, candidates,
+          serve::ScoringOptions{.threads = 0});
     });
 
     bool identical = s_scores == b1_scores && b1_scores == bm_scores;
@@ -107,7 +110,7 @@ int main() {
     json_fields.push_back({prefix + "_identical", BenchJsonBool(identical)});
   }
 
-  table.Print(std::cout, "Scalar vs batched candidate scoring");
+  table.Print(std::cout, "Reference loop vs scoring engine");
   std::cout << "\nBit-identical scores across all paths: "
             << (all_identical ? "yes" : "NO") << "\n";
   if (speedup_at_1k > 0.0) {

@@ -17,6 +17,7 @@
 #include "bench/bench_common.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/recommend_pipeline.h"
 
 using namespace lite;
 using namespace lite::bench;
@@ -66,8 +67,9 @@ int main() {
 
   auto score_once = [&] {
     system.model()->InvalidateCache();
-    return ScoreCandidatesWithEnsemble(&runner, system.corpus(), models, *app,
-                                       data, env, candidates, 0);
+    return serve::ScoreCandidateSet(&runner, system.corpus(), models, *app,
+                                    data, env, candidates,
+                                    serve::ScoringOptions{.threads = 0});
   };
 
   const bool saved_enabled = obs::Enabled();

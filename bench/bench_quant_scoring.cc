@@ -1,12 +1,12 @@
-// Quantized candidate-scoring throughput: the exact fp32 batched path
-// against the int8 and fp16 quantized backends (scoring-plan fast path,
-// thread-local arenas, SIMD GEMM when available), single-threaded so the
-// comparison isolates kernel speed. The harness records relative-error
+// Quantized candidate-scoring throughput: the scoring engine on the exact
+// fp32 backend against the int8 and fp16 quantized backends (same plan and
+// block structure; thread-local arenas and SIMD GEMM when available),
+// single-threaded so the comparison isolates tower speed. The harness records relative-error
 // percentiles against the exact scores and the arena allocation counters
 // (docs/OBSERVABILITY.md) alongside the timings.
 //
 // Acceptance (printed at the end): at the 1000-candidate pool the int8
-// backend is >= 3x the exact batched path with every candidate's relative
+// backend is >= 3x the exact backend with every candidate's relative
 // error inside the shipped bound (docs/QUANTIZATION.md).
 #include <algorithm>
 #include <chrono>
@@ -15,6 +15,7 @@
 
 #include "bench/bench_common.h"
 #include "obs/metrics.h"
+#include "serve/recommend_pipeline.h"
 #include "tensor/qkernels.h"
 
 using namespace lite;
@@ -112,8 +113,9 @@ int main() {
     system.model()->InvalidateCache();
     std::vector<double> exact;
     double t_exact = TimeSeconds([&] {
-      exact = ScoreCandidatesWithEnsemble(&runner, system.corpus(), models,
-                                          *app, data, env, candidates, 1);
+      exact = serve::ScoreCandidateSet(&runner, system.corpus(), models, *app,
+                                       data, env, candidates,
+                                       serve::ScoringOptions{.threads = 1});
     });
     table.AddRow({TablePrinter::Fmt(static_cast<int64_t>(pool)), "exact",
                   TablePrinter::Fmt(t_exact), "1.00", "-", "-", "-", "-"});
@@ -128,9 +130,9 @@ int main() {
       const uint64_t bytes_before = arena_bytes->Value();
       std::vector<double> quant;
       double t_quant = TimeSeconds([&] {
-        quant = ScoreCandidatesWithEnsembleQuantized(
+        quant = serve::ScoreCandidateSet(
             &runner, system.corpus(), models, *app, data, env, candidates,
-            backend, 1);
+            serve::ScoringOptions{.threads = 1, .backend = backend});
       });
       const uint64_t allocs = arena_allocs->Value() - allocs_before;
       const uint64_t bytes = arena_bytes->Value() - bytes_before;

@@ -1,51 +1,40 @@
 #include "lite/lite_system.h"
 
-#include <chrono>
-#include <cmath>
-#include <limits>
+#include <algorithm>
 
-#include "lite/qnecs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/recommend_pipeline.h"
 #include "sparksim/resilient_runner.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace lite {
 
 namespace {
-// Scoring/feedback observability (see docs/OBSERVABILITY.md for the
-// catalog). The recommendation-level series (lite_recommendations_total,
-// lite_recommend_seconds, ...) live in serve/recommend_pipeline.cc — the
-// one place every serving surface runs through. Metric pointers are
+// Feedback/update observability (see docs/OBSERVABILITY.md for the
+// catalog). The recommendation- and scoring-level series
+// (lite_recommendations_total, lite_score_calls_total, ...) live in
+// serve/recommend_pipeline.cc — the one place every serving surface runs
+// through. Metric pointers are
 // resolved once; updates are lock-free sharded atomics, so instrumentation
 // never perturbs scoring results or ordering.
 struct LiteMetrics {
-  obs::Counter* score_calls;
-  obs::Counter* candidates_scored;
   obs::Counter* feedback_runs;
   obs::Counter* feedback_censored;
   obs::Counter* feedback_dropped;
   obs::Counter* adaptive_updates;
   obs::Gauge* domain_accuracy;
-  obs::Histogram* score_seconds;
-  obs::Histogram* featurize_seconds;
   obs::Histogram* update_seconds;
 
   static const LiteMetrics& Get() {
     static const LiteMetrics* m = [] {
       auto& reg = obs::MetricsRegistry::Global();
       return new LiteMetrics{
-          reg.GetCounter("lite_score_calls_total"),
-          reg.GetCounter("lite_candidates_scored_total"),
           reg.GetCounter("lite_feedback_runs_total"),
           reg.GetCounter("lite_feedback_censored_total"),
           reg.GetCounter("lite_feedback_dropped_total"),
           reg.GetCounter("lite_adaptive_updates_total"),
           reg.GetGauge("lite_update_domain_accuracy"),
-          reg.GetHistogram("lite_score_candidates_seconds"),
-          reg.GetHistogram("lite_featurize_seconds"),
           reg.GetHistogram("lite_adaptive_update_seconds"),
       };
     }();
@@ -53,144 +42,6 @@ struct LiteMetrics {
   }
 };
 }  // namespace
-
-std::vector<double> ScoreCandidatesWithEnsemble(
-    const spark::SparkRunner* runner, const Corpus& feature_space,
-    const std::vector<const NecsModel*>& models,
-    const spark::ApplicationSpec& app, const spark::DataSpec& data,
-    const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
-    size_t threads) {
-  std::vector<double> scores(candidates.size());
-  if (candidates.empty()) return scores;
-  LITE_CHECK(!models.empty()) << "scoring with an empty ensemble";
-  const LiteMetrics& metrics = LiteMetrics::Get();
-  obs::Span score_span("lite.score_candidates", metrics.score_seconds);
-  metrics.score_calls->Inc();
-  metrics.candidates_scored->Inc(candidates.size());
-
-  // Featurize once: every stage feature except the knob vector is identical
-  // across candidates of one (app, data, env) query, so per-candidate
-  // featurization would recompute the same tokens/DAGs/BoWs B times.
-  CorpusBuilder builder(runner);
-  const CandidateEval base = [&] {
-    obs::Span span("lite.featurize", metrics.featurize_seconds);
-    return builder.FeaturizeCandidate(feature_space, app, data, env,
-                                      candidates[0]);
-  }();
-  {
-    // Warm every model's encoder cache before sharding, so the parallel
-    // phase only ever reads it (no insert races, no serialization on
-    // misses).
-    obs::Span span("lite.warm_encoder_cache");
-    for (const NecsModel* m : models) m->WarmEncoderCache(base.stage_instances);
-  }
-
-  const auto& space = spark::KnobSpace::Spark16();
-  auto score_one = [&](size_t i) {
-    CandidateEval ce = base;
-    ce.config = candidates[i];
-    std::vector<double> knobs = space.Normalize(candidates[i]);
-    for (auto& inst : ce.stage_instances) inst.knobs = knobs;
-    // Ensemble-mean in log space (geometric mean of predicted times).
-    double score = 0.0;
-    for (const NecsModel* m : models) {
-      score += std::log1p(std::max(m->PredictAppSeconds(ce), 0.0));
-    }
-    score /= static_cast<double>(models.size());
-    scores[i] = std::expm1(score);
-  };
-
-  if (threads == 1) {
-    for (size_t i = 0; i < candidates.size(); ++i) score_one(i);
-  } else if (threads == 0) {
-    ThreadPool::Shared().ParallelFor(candidates.size(), score_one);
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(candidates.size(), score_one);
-  }
-  return scores;
-}
-
-std::vector<double> ScoreCandidatesWithEnsembleQuantized(
-    const spark::SparkRunner* runner, const Corpus& feature_space,
-    const std::vector<const NecsModel*>& models,
-    const spark::ApplicationSpec& app, const spark::DataSpec& data,
-    const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
-    QuantBackend backend, size_t threads) {
-  std::vector<double> scores(candidates.size());
-  if (candidates.empty()) return scores;
-  LITE_CHECK(!models.empty()) << "scoring with an empty ensemble";
-  LITE_CHECK(backend != QuantBackend::kExactFp32)
-      << "quantized scoring with the exact backend: use "
-         "ScoreCandidatesWithEnsemble";
-  const LiteMetrics& metrics = LiteMetrics::Get();
-  obs::Span score_span("lite.score_candidates", metrics.score_seconds);
-  metrics.score_calls->Inc();
-  metrics.candidates_scored->Inc(candidates.size());
-
-  CorpusBuilder builder(runner);
-  const CandidateEval base = [&] {
-    obs::Span span("lite.featurize", metrics.featurize_seconds);
-    return builder.FeaturizeCandidate(feature_space, app, data, env,
-                                      candidates[0]);
-  }();
-  // One scoring plan per ensemble member: the knob-independent feature rows
-  // (data/env features + cached encodings) are frozen here, so the sharded
-  // phase below touches no model state and no heap — each candidate is a
-  // template memcpy, knob writes, and a quantized GEMM chain in the worker's
-  // arena.
-  std::vector<std::pair<const QuantizedNecs*, QuantizedNecs::ScoringPlan>>
-      plans;
-  plans.reserve(models.size());
-  {
-    obs::Span span("lite.warm_encoder_cache");
-    for (const NecsModel* m : models) {
-      const QuantizedNecs* q = m->Quantized(backend);
-      plans.emplace_back(q, q->BuildPlan(base));
-    }
-  }
-
-  // Normalize once up front, then score fixed candidate blocks: one GEMM
-  // chain per (block, ensemble member) amortizes the per-GEMM overhead that
-  // dominates at these matrix sizes. Block composition is invisible to the
-  // results — every quantized row is scaled, dotted and de-quantized
-  // independently — so any block size (and any thread count) produces
-  // bit-identical scores.
-  const auto& space = spark::KnobSpace::Spark16();
-  std::vector<std::vector<double>> knobs(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    knobs[i] = space.Normalize(candidates[i]);
-  }
-
-  constexpr size_t kBlock = 32;
-  const size_t num_blocks = (candidates.size() + kBlock - 1) / kBlock;
-  auto score_block = [&](size_t b) {
-    const size_t begin = b * kBlock;
-    const size_t end = std::min(begin + kBlock, candidates.size());
-    qk::Arena* arena = qk::Arena::ThreadLocal();
-    std::vector<double> member(end - begin);
-    std::vector<double> acc(end - begin, 0.0);
-    for (const auto& [q, plan] : plans) {
-      q->ScoreWithKnobsBlock(plan, knobs, begin, end, member.data(), arena);
-      for (size_t c = 0; c < member.size(); ++c) {
-        acc[c] += std::log1p(std::max(member[c], 0.0));
-      }
-    }
-    for (size_t c = 0; c < acc.size(); ++c) {
-      scores[begin + c] = std::expm1(acc[c] / static_cast<double>(models.size()));
-    }
-  };
-
-  if (threads == 1) {
-    for (size_t b = 0; b < num_blocks; ++b) score_block(b);
-  } else if (threads == 0) {
-    ThreadPool::Shared().ParallelFor(num_blocks, score_block);
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(num_blocks, score_block);
-  }
-  return scores;
-}
 
 LiteSystem::LiteSystem(const spark::SparkRunner* runner, LiteOptions options)
     : runner_(runner), options_(std::move(options)), acg_(options_.acg) {}
@@ -278,7 +129,6 @@ std::vector<double> LiteSystem::ScoreCandidates(
   return serve::ScoreCandidateSet(
       runner_, corpus_, models, app, data, env, candidates,
       serve::ScoringOptions{.threads = options_.scoring_threads,
-                            .batched = options_.batched_scoring,
                             .backend = options_.scoring_backend});
 }
 

@@ -54,17 +54,11 @@ struct LiteOptions {
   /// 1 = single-threaded). Scores are reduced in candidate order, so the
   /// recommendation is identical for every value.
   size_t scoring_threads = 0;
-  /// Batched multi-threaded scoring (featurize once, batch the NECS tower,
-  /// shard candidates across the pool). When false, the legacy scalar loop
-  /// runs instead — same ranking bit for bit, only slower (kept for the
-  /// equivalence tests and the bench_batch_scoring comparison).
-  bool batched_scoring = true;
   /// Scoring-tower backend for candidate ranking. kExactFp32 (default) is
-  /// the autodiff oracle path, bit-identical to prior releases. kInt8/kFp16
-  /// run the quantized SIMD kernels (tensor/qkernels.h) through lazily
-  /// derived model twins — bounded score error (docs/QUANTIZATION.md),
-  /// enforced by DiffQuantizationAccuracy. Only applies when
-  /// `batched_scoring` is on; the legacy scalar loop is always exact.
+  /// bit-identical to the per-candidate reference loop. kInt8/kFp16 run the
+  /// quantized SIMD kernels (tensor/qkernels.h) through lazily derived
+  /// model twins — bounded score error (docs/QUANTIZATION.md), enforced by
+  /// DiffQuantizationAccuracy.
   QuantBackend scoring_backend = QuantBackend::kExactFp32;
   /// SLA deadline on predicted runtime, threaded into the recommend
   /// pipeline: finite values filter candidates predicted slower than the
@@ -84,36 +78,6 @@ struct LiteOptions {
   int stage_values_per_knob = 5;
   uint64_t seed = 41;
 };
-
-/// Scores `candidates` with an NECS ensemble: entry i is the ensemble-mean
-/// predicted application seconds (geometric mean over models in log space)
-/// of candidates[i] — the quantity LiteSystem ranks by. The application is
-/// featurized once (only knob features vary across candidates), each
-/// model's encoder cache is warmed, and candidates are sharded across
-/// `threads` workers (0 = hardware concurrency) with results reduced in
-/// index order, so the output is deterministic for any thread count.
-std::vector<double> ScoreCandidatesWithEnsemble(
-    const spark::SparkRunner* runner, const Corpus& feature_space,
-    const std::vector<const NecsModel*>& models,
-    const spark::ApplicationSpec& app, const spark::DataSpec& data,
-    const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
-    size_t threads = 0);
-
-/// Quantized-backend analog of ScoreCandidatesWithEnsemble: same
-/// featurize-once / warm / shard structure, but each model scores through
-/// its quantized twin's ScoringPlan — the knob-independent feature rows are
-/// frozen once per query and every candidate is a template memcpy + knob
-/// writes + quantized GEMM chain out of a thread-local arena (no
-/// CandidateEval copies, no cache lookups, no heap traffic on the hot
-/// path). `backend` must be kInt8 or kFp16. Deterministic for any thread
-/// count; accuracy vs the exact path is bounded by the quantization
-/// contract (docs/QUANTIZATION.md).
-std::vector<double> ScoreCandidatesWithEnsembleQuantized(
-    const spark::SparkRunner* runner, const Corpus& feature_space,
-    const std::vector<const NecsModel*>& models,
-    const spark::ApplicationSpec& app, const spark::DataSpec& data,
-    const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
-    QuantBackend backend, size_t threads = 0);
 
 class LiteSystem {
  public:
@@ -166,10 +130,10 @@ class LiteSystem {
       const std::vector<spark::StageEvent>& observed) const;
 
   /// Scores an explicit candidate list (entry i = predicted application
-  /// seconds of candidates[i]) on the configured scoring path — batched and
-  /// sharded across `LiteOptions::scoring_threads` by default, the legacy
-  /// scalar loop when `batched_scoring` is off. Both paths return
-  /// bit-identical scores; Recommend() is argmin over this vector.
+  /// seconds of candidates[i]) through serve::ScoreCandidateSet, sharded
+  /// across `LiteOptions::scoring_threads` on `scoring_backend`; the scores
+  /// are bit-identical for every thread count. Recommend() is argmin over
+  /// this vector.
   std::vector<double> ScoreCandidates(
       const spark::ApplicationSpec& app, const spark::DataSpec& data,
       const spark::ClusterEnv& env,

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <mutex>
-#include <sstream>
 
 #include "lite/qnecs.h"
 #include "obs/metrics.h"
@@ -53,6 +52,82 @@ double StageEstimator::PredictAppSeconds(const CandidateEval& candidate) const {
     total += SecondsFromTarget(target) * reps;
   }
   return total;
+}
+
+ScoringPlan ScoringPlan::Template(const CandidateEval& base,
+                                  size_t input_dim) {
+  ScoringPlan plan;
+  plan.num_rows = base.stage_instances.size();
+  plan.input_dim = input_dim;
+  plan.rows.assign(plan.num_rows * input_dim, 0.0f);
+  if (plan.num_rows > 0) {
+    plan.knob_offset = base.stage_instances[0].data_feat.size() +
+                       base.stage_instances[0].env_feat.size();
+  }
+  for (size_t s = 0; s < plan.num_rows; ++s) {
+    plan.reps.push_back(s < base.stage_reps.size()
+                            ? static_cast<double>(base.stage_reps[s])
+                            : 1.0);
+  }
+  return plan;
+}
+
+void WriteTowerRow(const StageInstance& inst, std::span<const float> h_code,
+                   std::span<const float> h_dag, size_t input_dim,
+                   float* row) {
+  size_t off = 0;
+  for (double v : inst.data_feat) row[off++] = static_cast<float>(v);
+  for (double v : inst.env_feat) row[off++] = static_cast<float>(v);
+  for (double v : inst.knobs) row[off++] = static_cast<float>(v);
+  for (float v : h_code) row[off++] = v;
+  for (float v : h_dag) row[off++] = v;
+  LITE_CHECK(off == input_dim)
+      << "tower row width " << off << " != MLP input " << input_dim;
+}
+
+void ScoringPlan::StackCandidates(const std::vector<std::vector<double>>& knobs,
+                                  size_t begin, size_t end, float* x) const {
+  for (size_t c = begin; c < end; ++c) {
+    float* cand = x + (c - begin) * rows.size();
+    std::copy(rows.begin(), rows.end(), cand);
+    for (size_t s = 0; s < num_rows; ++s) {
+      float* krow = cand + s * input_dim + knob_offset;
+      for (size_t k = 0; k < knobs[c].size(); ++k) {
+        krow[k] = static_cast<float>(knobs[c][k]);
+      }
+    }
+  }
+}
+
+void ScoringPlan::SumStages(const float* y, size_t stride, size_t count,
+                            double* out) const {
+  for (size_t c = 0; c < count; ++c) {
+    const float* yc = y + c * num_rows * stride;
+    double total = 0.0;
+    for (size_t s = 0; s < num_rows; ++s) {
+      total += SecondsFromTarget(static_cast<double>(yc[s * stride])) * reps[s];
+    }
+    out[c] = total;
+  }
+}
+
+Tensor TowerForward(const std::vector<VarPtr>& params, Tensor x) {
+  for (size_t l = 0; l + 1 < params.size(); l += 2) {
+    const Tensor& w = params[l]->value;
+    const Tensor& b = params[l + 1]->value;
+    const bool hidden = l + 2 < params.size();
+    Tensor y(x.rows(), w.cols());
+    MatMul(x, w, &y);
+    for (size_t r = 0; r < y.rows(); ++r) {
+      for (size_t c = 0; c < y.cols(); ++c) {
+        float& v = y.at(r, c);
+        v += b[c];
+        if (hidden) v = v > 0.0f ? v : 0.0f;
+      }
+    }
+    x = std::move(y);
+  }
+  return x;
 }
 
 NecsModel::NecsModel(size_t token_vocab_size, size_t op_vocab_size,
@@ -117,12 +192,11 @@ NecsModel::ForwardResult NecsModel::Forward(const StageInstance& inst) const {
 }
 
 std::string NecsModel::CacheKey(const StageInstance& inst) {
-  // Keyed by (app, stage, datasize): the encoder inputs are knob-independent
-  // but could in principle differ across data scales, so scales never share
-  // entries.
-  std::ostringstream os;
-  os << inst.app_name << '#' << inst.stage_index << '@' << inst.size_mb;
-  return os.str();
+  // Keyed by (app, stage): the encoders read only the stage's code tokens
+  // and DAG, which featurization takes from the instrumented application
+  // whatever the data size, so every data scale of a stage shares one
+  // entry (a re-tune at a new scale must not grow the cache).
+  return inst.app_name + '#' + std::to_string(inst.stage_index);
 }
 
 std::pair<Tensor, Tensor> NecsModel::ComputeEncodings(
@@ -222,19 +296,41 @@ std::vector<double> NecsModel::PredictBatch(
   Tensor x(insts.size(), in_dim);
   for (size_t b = 0; b < insts.size(); ++b) {
     auto [h_code, h_dag] = EncodeStage(insts[b]);
-    float* row = x.data() + b * in_dim;
-    size_t off = 0;
-    for (double v : insts[b].data_feat) row[off++] = static_cast<float>(v);
-    for (double v : insts[b].env_feat) row[off++] = static_cast<float>(v);
-    for (double v : insts[b].knobs) row[off++] = static_cast<float>(v);
-    for (float v : h_code.vec()) row[off++] = v;
-    for (float v : h_dag.vec()) row[off++] = v;
-    LITE_CHECK(off == in_dim) << "PredictBatch row width " << off
-                              << " != MLP input " << in_dim;
+    WriteTowerRow(insts[b], h_code.vec(), h_dag.vec(), in_dim,
+                  x.data() + b * in_dim);
   }
-  VarPtr pred = mlp_->ForwardBatch(Input(std::move(x)));
-  for (size_t b = 0; b < out.size(); ++b) out[b] = pred->value.at(b, 0);
+  Tensor pred = TowerForward(mlp_->Params(), std::move(x));
+  for (size_t b = 0; b < out.size(); ++b) out[b] = pred.at(b, 0);
   return out;
+}
+
+ScoringPlan NecsModel::BuildPlan(const CandidateEval& base) const {
+  WarmEncoderCache(base.stage_instances);
+  ScoringPlan plan = ScoringPlan::Template(base, mlp_->input_dim());
+  for (size_t s = 0; s < plan.num_rows; ++s) {
+    auto [h_code, h_dag] = EncodeStage(base.stage_instances[s]);
+    WriteTowerRow(base.stage_instances[s], h_code.vec(), h_dag.vec(),
+                  plan.input_dim, plan.row(s));
+  }
+  return plan;
+}
+
+void NecsModel::ScoreWithKnobsBlock(const ScoringPlan& plan,
+                                    const std::vector<std::vector<double>>& knobs,
+                                    size_t begin, size_t end,
+                                    double* out) const {
+  const size_t rows = (end - begin) * plan.num_rows;
+  if (rows == 0) {
+    std::fill(out, out + (end - begin), 0.0);
+    return;
+  }
+  const NecsMetrics& metrics = NecsMetrics::Get();
+  metrics.predict_batches->Inc();
+  metrics.instances_predicted->Inc(rows);
+  Tensor x(rows, plan.input_dim);
+  plan.StackCandidates(knobs, begin, end, x.data());
+  Tensor y = TowerForward(mlp_->Params(), std::move(x));
+  plan.SumStages(y.data(), 1, end - begin, out);
 }
 
 double NecsModel::PredictAppSeconds(const CandidateEval& candidate) const {

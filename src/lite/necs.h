@@ -59,6 +59,48 @@ class StageEstimator {
   virtual double PredictAppSeconds(const CandidateEval& candidate) const;
 };
 
+/// Knob-independent scoring template of one query's stage set, shared by
+/// the exact tower (NecsModel::BuildPlan) and its quantized twins
+/// (QuantizedNecs::BuildPlan). Every tower input except the knob slots is
+/// frozen into `rows`, in PredictBatch's column order [data, env, knobs,
+/// h_code, h_dag], so scoring a block of candidates is template copies,
+/// knob writes and one tower pass over the stacked rows.
+struct ScoringPlan {
+  std::vector<float> rows;   ///< num_rows x input_dim, one row per stage.
+  std::vector<double> reps;  ///< executions per stage.
+  size_t num_rows = 0;
+  size_t input_dim = 0;
+  size_t knob_offset = 0;  ///< first knob column (after data + env).
+
+  /// The plan of `base`'s stages, rows zeroed: the backend writes each
+  /// stage's row with WriteTowerRow (its knob slots are overwritten per
+  /// candidate).
+  static ScoringPlan Template(const CandidateEval& base, size_t input_dim);
+  float* row(size_t s) { return rows.data() + s * input_dim; }
+  /// Writes candidates [begin, end) of `knobs` (normalized) to `x` as
+  /// stacked copies of the template rows with their knob slots filled.
+  void StackCandidates(const std::vector<std::vector<double>>& knobs,
+                       size_t begin, size_t end, float* x) const;
+  /// Eq. 5 for `count` stacked candidates: out[c] sums, in stage order,
+  /// SecondsFromTarget(prediction) * reps over the candidate's rows, where
+  /// row r's prediction is y[r * stride].
+  void SumStages(const float* y, size_t stride, size_t count,
+                 double* out) const;
+};
+
+/// Writes `inst`'s tower input [data, env, knobs, h_code, h_DAG] to the
+/// `input_dim` floats at `row`.
+void WriteTowerRow(const StageInstance& inst, std::span<const float> h_code,
+                   std::span<const float> h_dag, size_t input_dim, float* row);
+
+/// Inference-only tower pass over stacked rows, without an autodiff graph.
+/// `params` are an Mlp's (W, b) pairs in layer order (Mlp::Params()), and
+/// every layer but the last is ReLU'd; not for sigmoid-headed towers. The
+/// arithmetic is Mlp::ForwardBatch's (lite::MatMul, the bias add, ReLU), so
+/// each output row is bit-identical to the graph-building forward of that
+/// row alone.
+Tensor TowerForward(const std::vector<VarPtr>& params, Tensor x);
+
 class NecsModel : public Module, public StageEstimator {
  public:
   /// `token_vocab_size` from the training TokenVocab (includes pad/oov);
@@ -75,8 +117,8 @@ class NecsModel : public Module, public StageEstimator {
   /// Full autodiff forward pass (training / fine-tuning).
   ForwardResult Forward(const StageInstance& inst) const;
 
-  /// Inference-only prediction with per-(app, stage, datasize) encoder
-  /// caching — code and DAG encodings do not depend on knobs, so candidate
+  /// Inference-only prediction with per-(app, stage) encoder caching —
+  /// code and DAG encodings do not depend on knobs, so candidate
   /// ranking reuses them. Call InvalidateCache() after any parameter change
   /// (NecsTrainer, AdaptiveModelUpdater and SetTokenEmbeddings already do).
   double PredictTarget(const StageInstance& inst) const override;
@@ -98,6 +140,19 @@ class NecsModel : public Module, public StageEstimator {
   /// call this once before sharding candidates across threads so the
   /// parallel phase only ever reads the cache.
   void WarmEncoderCache(std::span<const StageInstance> insts) const;
+
+  /// The exact tower's plan for `base`'s stage set (its knob values are
+  /// ignored). Warms the encoder cache as a side effect.
+  ScoringPlan BuildPlan(const CandidateEval& base) const;
+
+  /// Predicted application seconds of candidates [begin, end) of `knobs`
+  /// (normalized) under `plan`, written to out[0..end-begin): one tower
+  /// pass over the stacked rows. Entry c is bit-identical to
+  /// PredictAppSeconds on that candidate, because lite::MatMul accumulates
+  /// every output in k order whatever the row count. Thread-safe.
+  void ScoreWithKnobsBlock(const ScoringPlan& plan,
+                           const std::vector<std::vector<double>>& knobs,
+                           size_t begin, size_t end, double* out) const;
 
   /// Knob-independent (h_code, h_DAG) encodings for one stage, served from
   /// the shared encoder cache (computed and inserted on miss — the same

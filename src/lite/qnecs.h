@@ -10,11 +10,12 @@
 // Twins are derived lazily from the owning NecsModel's current weights
 // (NecsModel::Quantized) and dropped on InvalidateCache(), so any parameter
 // change (training, adaptive update, CopyParams) rebuilds them. The serving
-// path scores candidates through a ScoringPlan: the knob-independent feature
-// template is assembled once per query, and each candidate only memcpys the
-// template, writes its normalized knobs, and runs the quantized GEMM chain
-// from a thread-local arena — no heap traffic, no string-keyed cache
-// lookups, no CandidateEval copies on the hot path.
+// path scores candidates through the same ScoringPlan as the exact tower
+// (lite/necs.h): the knob-independent feature template is assembled once
+// per query, and each block of candidates only copies the template, writes
+// its normalized knobs, and runs the quantized GEMM chain from a
+// thread-local arena — no heap traffic, no string-keyed cache lookups, no
+// CandidateEval copies on the hot path.
 #ifndef LITE_LITE_QNECS_H_
 #define LITE_LITE_QNECS_H_
 
@@ -42,42 +43,23 @@ class QuantizedNecs {
   /// cache-key discipline, quantized tower). Thread-safe.
   std::vector<double> PredictBatch(std::span<const StageInstance> insts) const;
 
-  /// Eq. 5 aggregation over the quantized per-stage predictions.
-  double PredictAppSeconds(const CandidateEval& candidate) const;
-
   /// Precomputes this twin's encoder-cache entries for `insts` (batched
   /// quantized CNN for the missing codes, exact GCN for the DAGs).
   void WarmEncoderCache(std::span<const StageInstance> insts) const;
 
-  /// Knob-independent scoring template for one query's stage set: every
-  /// feature except the knob slots is frozen into `rows`, so candidate
-  /// evaluation is memcpy + knob writes + GEMMs.
-  struct ScoringPlan {
-    std::vector<float> rows;  ///< num_rows x input_dim, knob slots zeroed.
-    std::vector<double> reps;
-    size_t num_rows = 0;
-    size_t input_dim = 0;
-    size_t knob_offset = 0;  ///< first knob column (after data + env).
-  };
-
   /// Builds the plan for `base` (a featurized candidate whose knob values
-  /// are ignored). Warms this twin's encoder cache as a side effect.
+  /// are ignored) from this twin's encodings. Warms this twin's encoder
+  /// cache as a side effect.
   ScoringPlan BuildPlan(const CandidateEval& base) const;
 
-  /// Predicted application seconds for the plan's stages under `knobs`
-  /// (already normalized). Resets `arena` — callers hand in their
-  /// thread-local scratch.
-  double ScoreWithKnobs(const ScoringPlan& plan,
-                        const std::vector<double>& knobs,
-                        qk::Arena* arena) const;
-
-  /// Block form of ScoreWithKnobs: scores candidates [begin, end) of `knobs`
-  /// through ONE GEMM chain over the stacked rows, writing predicted app
-  /// seconds to out[0..end-begin). Bit-identical to calling ScoreWithKnobs
-  /// per candidate — every quantized row (activation scale, dot, epilogue)
-  /// is computed independently — while amortizing the per-GEMM overhead
-  /// (activation setup, dispatch, arena churn) across the block, which is
-  /// where the time goes at serving pool sizes. Resets `arena`.
+  /// Scores candidates [begin, end) of `knobs` (normalized) through ONE
+  /// GEMM chain over the stacked rows, writing predicted app seconds to
+  /// out[0..end-begin). Entry c is bit-identical to the Eq. 5 sum over
+  /// PredictBatch on that candidate's stage instances — every quantized
+  /// row (activation scale, dot, epilogue) is computed independently —
+  /// while amortizing the per-GEMM overhead (activation setup, dispatch,
+  /// arena churn) across the block, which is where the time goes at
+  /// serving pool sizes. Resets `arena`.
   void ScoreWithKnobsBlock(const ScoringPlan& plan,
                            const std::vector<std::vector<double>>& knobs,
                            size_t begin, size_t end, double* out,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "sparksim/knob.h"
 #include "tensor/optimizer.h"
@@ -41,11 +43,6 @@ double StageHead::PredictTarget(const NecsModel& encoder,
                                 const StageInstance& inst) const {
   VarPtr out = mlp_->Predict(Assemble(encoder, inst));
   return static_cast<double>(out->value[0]);
-}
-
-double StageHead::PredictSeconds(const NecsModel& encoder,
-                                 const StageInstance& inst) const {
-  return SecondsFromTarget(PredictTarget(encoder, inst));
 }
 
 std::vector<double> StageHead::Train(const NecsModel& encoder,
@@ -101,23 +98,63 @@ spark::StageEvalFactory MakeStageHeadEvalFactory(
       scaled.num_rows =
           std::llround(static_cast<double>(data.num_rows) * scale);
     }
-    // Featurize once per evaluator: code tokens, DAGs, data and env
-    // features are knob-independent, so every candidate shares the
-    // template instances and only swaps the normalized knob vector.
-    CorpusBuilder builder(runner);
-    auto templ = std::make_shared<CandidateEval>(builder.FeaturizeCandidate(
-        *feature_space, *app, scaled, *env,
-        spark::KnobSpace::Spark16().DefaultConfig()));
-    return [head, encoder, templ](size_t stage_index, int /*iteration*/,
-                                  const spark::Config& config)
-               -> spark::StageEvalResult {
-      if (stage_index >= templ->stage_instances.size()) {
+    // Featurize once per evaluator and freeze one head input row per stage
+    // in the head's column order [h_code, h_dag, data, env, knobs]: code
+    // tokens, DAGs, data and env features are knob-independent, so a query
+    // only writes the normalized knobs into a copy of its stage's row.
+    const CandidateEval templ =
+        CorpusBuilder(runner).FeaturizeCandidate(
+            *feature_space, *app, scaled, *env,
+            spark::KnobSpace::Spark16().DefaultConfig());
+    struct Evaluator {
+      std::vector<VarPtr> params;
+      std::vector<std::vector<float>> rows;
+      size_t knob_offset = 0;
+      // The last answer: the planner asks the same (stage, config) once per
+      // iteration, and the head ignores the iteration.
+      size_t last_stage = SIZE_MAX;
+      spark::Config last_config;
+      spark::StageEvalResult last;
+    };
+    auto ev = std::make_shared<Evaluator>();
+    ev->params = head->Params();
+    ev->knob_offset = head->input_dim() - spark::kNumKnobs;
+    for (const StageInstance& inst : templ.stage_instances) {
+      auto [h_code, h_dag] = encoder->StageEncodings(inst);
+      std::vector<float> row(head->input_dim(), 0.0f);
+      size_t off = 0;
+      for (float v : h_code.vec()) row[off++] = v;
+      for (float v : h_dag.vec()) row[off++] = v;
+      for (double v : inst.data_feat) row[off++] = static_cast<float>(v);
+      for (double v : inst.env_feat) row[off++] = static_cast<float>(v);
+      LITE_CHECK(off == ev->knob_offset)
+          << "stage-head row knob offset " << off << " != "
+          << ev->knob_offset;
+      ev->rows.push_back(std::move(row));
+    }
+    return [ev](size_t stage_index, int /*iteration*/,
+                const spark::Config& config) -> spark::StageEvalResult {
+      if (stage_index >= ev->rows.size()) {
         return spark::StageEvalResult{0.0, true};
       }
-      StageInstance inst = templ->stage_instances[stage_index];
-      inst.knobs = spark::KnobSpace::Spark16().Normalize(config);
-      return spark::StageEvalResult{head->PredictSeconds(*encoder, inst),
-                                    false};
+      if (stage_index == ev->last_stage && config == ev->last_config) {
+        return ev->last;
+      }
+      // A one-row tower pass: bit-identical to PredictTarget on the
+      // template instance with knobs = Normalize(config).
+      Tensor x(1, ev->rows[stage_index].size());
+      std::copy(ev->rows[stage_index].begin(), ev->rows[stage_index].end(),
+                x.data());
+      std::vector<double> knobs = spark::KnobSpace::Spark16().Normalize(config);
+      for (size_t k = 0; k < knobs.size(); ++k) {
+        x[ev->knob_offset + k] = static_cast<float>(knobs[k]);
+      }
+      Tensor y = TowerForward(ev->params, std::move(x));
+      ev->last_stage = stage_index;
+      ev->last_config = config;
+      ev->last = spark::StageEvalResult{
+          SecondsFromTarget(static_cast<double>(y[0])), false};
+      return ev->last;
     };
   };
 }

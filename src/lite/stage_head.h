@@ -49,10 +49,6 @@ class StageHead : public Module {
   double PredictTarget(const NecsModel& encoder,
                        const StageInstance& inst) const;
 
-  /// Convenience: SecondsFromTarget(PredictTarget(...)).
-  double PredictSeconds(const NecsModel& encoder,
-                        const StageInstance& inst) const;
-
   /// Minibatch Adam on the squared loss against inst.y, with `encoder`'s
   /// encodings frozen (no gradient flows into the NECS towers). Returns
   /// mean training loss per epoch.
@@ -76,10 +72,15 @@ class StageHead : public Module {
 /// Head-backed StageEvalFactory for the per-stage planner
 /// (sparksim/stage_planner.h): factory(scale) featurizes the workload once
 /// at the rescaled datasize (size_mb x scale; num_rows too when explicit)
-/// and answers (stage, iteration, config) with the head's predicted stage
-/// seconds under the candidate's normalized knobs. factory(1.0) featurizes
-/// the original DataSpec bit for bit, which is what makes the serving
-/// re-tune path inert when observations match predictions. All captured
+/// and assembles one knob-free head input row per stage. The evaluator
+/// answers (stage, iteration, config) with a one-row tower pass under the
+/// candidate's normalized knobs, bit-identical to SecondsFromTarget of
+/// PredictTarget on that stage instance, and repeats its last answer when
+/// asked the same (stage, config) again (the head ignores the iteration).
+/// factory(1.0)
+/// featurizes the original DataSpec bit for bit, which is what makes the
+/// serving re-tune path inert when observations match predictions. Each
+/// evaluator is stateful and belongs to one planning call; all captured
 /// pointers must outlive the returned factory.
 spark::StageEvalFactory MakeStageHeadEvalFactory(
     const StageHead* head, const NecsModel* encoder,

@@ -1,24 +1,27 @@
 #include "serve/recommend_pipeline.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 
 #include "lite/features.h"
+#include "lite/qnecs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/guardrail.h"
 #include "sparksim/knob.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace lite::serve {
 
 namespace {
 // Pipeline-side observability (see docs/OBSERVABILITY.md for the catalog).
-// These resolve the same named metrics as the scoring instrumentation in
-// lite_system.cc — MetricsRegistry::Global() returns one object per name,
-// so every serving surface shares one set of series.
+// MetricsRegistry::Global() returns one object per name, so every serving
+// surface shares one set of series.
 struct PipelineMetrics {
   obs::Counter* recommendations;
   obs::Counter* candidates_evaluated;
@@ -28,7 +31,11 @@ struct PipelineMetrics {
   obs::Counter* sla_infeasible;
   obs::Counter* candidates_pinned;
   obs::Counter* seeded_candidates;
+  obs::Counter* score_calls;
+  obs::Counter* candidates_scored;
   obs::Histogram* recommend_seconds;
+  obs::Histogram* score_seconds;
+  obs::Histogram* featurize_seconds;
 
   static const PipelineMetrics& Get() {
     static const PipelineMetrics* m = [] {
@@ -42,12 +49,20 @@ struct PipelineMetrics {
           reg.GetCounter("lite_sla_infeasible_total"),
           reg.GetCounter("lite_candidates_pinned_total"),
           reg.GetCounter("lite_seeded_candidates_total"),
+          reg.GetCounter("lite_score_calls_total"),
+          reg.GetCounter("lite_candidates_scored_total"),
           reg.GetHistogram("lite_recommend_seconds"),
+          reg.GetHistogram("lite_score_candidates_seconds"),
+          reg.GetHistogram("lite_featurize_seconds"),
       };
     }();
     return *m;
   }
 };
+
+// Candidates per tower pass: large enough to amortize the per-pass
+// overhead, small enough that a pool still splits into a block per worker.
+constexpr size_t kMaxBlock = 32;
 }  // namespace
 
 std::vector<double> ScoreCandidateSet(
@@ -56,44 +71,86 @@ std::vector<double> ScoreCandidateSet(
     const spark::ApplicationSpec& app, const spark::DataSpec& data,
     const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
     const ScoringOptions& options) {
-  if (options.batched) {
-    if (options.backend != QuantBackend::kExactFp32) {
-      return ScoreCandidatesWithEnsembleQuantized(
-          runner, feature_space, models, app, data, env, candidates,
-          options.backend, options.threads);
-    }
-    return ScoreCandidatesWithEnsemble(runner, feature_space, models, app,
-                                       data, env, candidates,
-                                       options.threads);
-  }
-  if (options.backend != QuantBackend::kExactFp32) {
-    LITE_WARN << "ScoreCandidateSet: quantized backend "
-              << QuantBackendName(options.backend)
-              << " requested with batched=false; the scalar loop is the "
-                 "exact reference path — scoring exactly";
-  }
-  // Legacy scalar reference path: per-candidate featurization and one
-  // graph-building forward per stage instance. Kept as the equivalence
-  // baseline — bit-identical scores, no batching, no threads.
-  std::vector<double> scores(candidates.size());
-  CorpusBuilder builder(runner);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    CandidateEval ce = builder.FeaturizeCandidate(feature_space, app, data,
-                                                  env, candidates[i]);
-    double score = 0.0;
-    for (const NecsModel* model : models) {
-      double total = 0.0;
-      for (size_t s = 0; s < ce.stage_instances.size(); ++s) {
-        double target = model->PredictTarget(ce.stage_instances[s]);
-        double reps = s < ce.stage_reps.size()
-                          ? static_cast<double>(ce.stage_reps[s])
-                          : 1.0;
-        total += SecondsFromTarget(target) * reps;
+  const size_t n = candidates.size();
+  std::vector<double> scores(n);
+  if (n == 0) return scores;
+  LITE_CHECK(!models.empty()) << "scoring with an empty ensemble";
+  const PipelineMetrics& metrics = PipelineMetrics::Get();
+  obs::Span score_span("lite.score_candidates", metrics.score_seconds);
+  metrics.score_calls->Inc();
+  metrics.candidates_scored->Inc(n);
+
+  // Featurize once: every stage feature except the knob vector is identical
+  // across candidates of one (app, data, env) query.
+  const CandidateEval base = [&] {
+    obs::Span span("lite.featurize", metrics.featurize_seconds);
+    return CorpusBuilder(runner).FeaturizeCandidate(feature_space, app, data,
+                                                    env, candidates[0]);
+  }();
+  // One knob-free plan per ensemble member, built (and its encoder cache
+  // warmed) before sharding, so the blocks below touch no model state but
+  // frozen weights and template rows.
+  const bool exact = options.backend == QuantBackend::kExactFp32;
+  std::vector<const QuantizedNecs*> twins(models.size(), nullptr);
+  std::vector<ScoringPlan> plans;
+  plans.reserve(models.size());
+  {
+    obs::Span span("lite.warm_encoder_cache");
+    for (size_t m = 0; m < models.size(); ++m) {
+      if (exact) {
+        plans.push_back(models[m]->BuildPlan(base));
+      } else {
+        twins[m] = models[m]->Quantized(options.backend);
+        plans.push_back(twins[m]->BuildPlan(base));
       }
-      score += std::log1p(std::max(total, 0.0));
     }
-    score /= static_cast<double>(models.size());
-    scores[i] = std::expm1(score);
+  }
+  const auto& space = spark::KnobSpace::Spark16();
+  std::vector<std::vector<double>> knobs(n);
+  for (size_t i = 0; i < n; ++i) knobs[i] = space.Normalize(candidates[i]);
+
+  std::unique_ptr<ThreadPool> own_pool;
+  ThreadPool* pool = nullptr;
+  if (options.threads == 0) {
+    pool = &ThreadPool::Shared();
+  } else if (options.threads > 1) {
+    own_pool = std::make_unique<ThreadPool>(options.threads);
+    pool = own_pool.get();
+  }
+  // Block composition is invisible in the scores: every output row is
+  // computed independently in both towers, so any block size and any
+  // thread count give the same bits.
+  const size_t workers = pool == nullptr ? 1 : pool->size();
+  const size_t block = std::min(kMaxBlock, (n + workers - 1) / workers);
+  const size_t num_blocks = (n + block - 1) / block;
+  auto score_block = [&](size_t b) {
+    const size_t begin = b * block;
+    const size_t end = std::min(begin + block, n);
+    std::vector<double> member(end - begin);
+    std::vector<double> acc(end - begin, 0.0);
+    for (size_t m = 0; m < models.size(); ++m) {
+      if (exact) {
+        models[m]->ScoreWithKnobsBlock(plans[m], knobs, begin, end,
+                                       member.data());
+      } else {
+        twins[m]->ScoreWithKnobsBlock(plans[m], knobs, begin, end,
+                                      member.data(), qk::Arena::ThreadLocal());
+      }
+      // Ensemble mean in log space (geometric mean of predicted times),
+      // accumulated in member order.
+      for (size_t c = 0; c < member.size(); ++c) {
+        acc[c] += std::log1p(std::max(member[c], 0.0));
+      }
+    }
+    for (size_t c = 0; c < acc.size(); ++c) {
+      scores[begin + c] =
+          std::expm1(acc[c] / static_cast<double>(models.size()));
+    }
+  };
+  if (pool == nullptr) {
+    for (size_t b = 0; b < num_blocks; ++b) score_block(b);
+  } else {
+    pool->ParallelFor(num_blocks, score_block);
   }
   return scores;
 }

@@ -10,9 +10,11 @@
 // safe to serve concurrently), and the non-finite-score-hardened argmin.
 //
 // ScoreCandidateSet is the matching single implementation of candidate
-// scoring: the batched multi-threaded ensemble tower by default, the legacy
-// scalar reference loop when `batched` is off. Both are bit-identical for
-// every thread count (ordered reduction; see docs/TESTING.md).
+// scoring, one engine for every backend: featurize once, one knob-free
+// ScoringPlan per ensemble member, then blocks of candidates scored by one
+// tower pass per (block, member) over their stacked rows. Exact scores are
+// bit-identical to the per-candidate reference loop (testkit) for every
+// block size and thread count (see docs/TESTING.md).
 //
 // ExtractFeedbackInstances is the single implementation of Step 4's
 // run -> target-domain-instances extraction (subsampling cap, sentinel
@@ -36,22 +38,21 @@ namespace lite::serve {
 struct ScoringOptions {
   /// Worker threads (0 = one per hardware core, 1 = single-threaded).
   size_t threads = 0;
-  /// Batched multi-threaded tower vs the legacy scalar reference loop.
-  /// Rankings are bit-identical either way.
-  bool batched = true;
-  /// Scoring-tower backend. kExactFp32 (default) keeps both paths above
-  /// bit-identical to prior releases (DiffQuantTransparency enforces this);
-  /// kInt8/kFp16 route the batched path through the quantized SIMD kernels
-  /// with bounded score error (docs/QUANTIZATION.md). A quantized backend
-  /// with `batched == false` is contradictory — the scalar loop is the
-  /// exact reference — so it logs a warning and scores exactly.
+  /// Scoring-tower backend. kExactFp32 (default) is bit-identical to the
+  /// per-candidate reference loop (DiffQuantTransparency enforces this);
+  /// kInt8/kFp16 run the blocks through the quantized twins' SIMD kernels
+  /// with bounded score error (docs/QUANTIZATION.md).
   QuantBackend backend = QuantBackend::kExactFp32;
 };
 
 /// Scores `candidates` with the NECS ensemble under `options`: entry i is
-/// the ensemble-mean predicted application seconds of candidates[i]. The
-/// one place both scoring paths live; LiteSystem::ScoreCandidates and the
-/// snapshot/serving paths all delegate here.
+/// the ensemble-mean predicted application seconds of candidates[i] (the
+/// geometric mean over members, taken in log space). The application is
+/// featurized once, each member builds one ScoringPlan, and candidates are
+/// scored in blocks of min(32, ceil(n / workers)) sharded across the
+/// workers, so the output is deterministic for any thread count.
+/// LiteSystem::ScoreCandidates and the snapshot/serving paths all delegate
+/// here.
 std::vector<double> ScoreCandidateSet(
     const spark::SparkRunner* runner, const Corpus& feature_space,
     const std::vector<const NecsModel*>& models,

@@ -30,6 +30,42 @@ std::string Fmt(double v) {
 
 }  // namespace
 
+std::vector<double> ReferenceScores(
+    const spark::SparkRunner* runner, const Corpus& feature_space,
+    const std::vector<const NecsModel*>& models,
+    const spark::ApplicationSpec& app, const spark::DataSpec& data,
+    const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
+    QuantBackend backend) {
+  std::vector<double> scores(candidates.size());
+  CorpusBuilder builder(runner);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    CandidateEval ce = builder.FeaturizeCandidate(feature_space, app, data,
+                                                  env, candidates[i]);
+    double score = 0.0;
+    for (const NecsModel* model : models) {
+      std::vector<double> targets;
+      if (backend == QuantBackend::kExactFp32) {
+        for (const StageInstance& inst : ce.stage_instances) {
+          targets.push_back(model->PredictTarget(inst));
+        }
+      } else {
+        targets = model->Quantized(backend)->PredictBatch(ce.stage_instances);
+      }
+      double total = 0.0;
+      for (size_t s = 0; s < targets.size(); ++s) {
+        double reps = s < ce.stage_reps.size()
+                          ? static_cast<double>(ce.stage_reps[s])
+                          : 1.0;
+        total += SecondsFromTarget(targets[s]) * reps;
+      }
+      score += std::log1p(std::max(total, 0.0));
+    }
+    score /= static_cast<double>(models.size());
+    scores[i] = std::expm1(score);
+  }
+  return scores;
+}
+
 DiffResult DiffScalarVsBatch(const NecsModel& model,
                              std::span<const StageInstance> insts) {
   std::vector<double> batched = model.PredictBatch(insts);
@@ -57,9 +93,9 @@ DiffResult DiffScoringThreadCounts(
   std::vector<double> reference;
   size_t reference_threads = 0;
   for (size_t threads : thread_counts) {
-    std::vector<double> scores = ScoreCandidatesWithEnsemble(
+    std::vector<double> scores = serve::ScoreCandidateSet(
         runner, feature_space, models, *t.app, t.data, t.env, candidates,
-        threads);
+        serve::ScoringOptions{.threads = threads});
     if (reference.empty()) {
       reference = scores;
       reference_threads = threads;
@@ -100,9 +136,9 @@ DiffResult DiffObservabilityTransparency(
   obs::SetEnabled(false);
   std::vector<std::vector<double>> off_scores;
   for (size_t threads : thread_counts) {
-    off_scores.push_back(ScoreCandidatesWithEnsemble(
+    off_scores.push_back(serve::ScoreCandidateSet(
         &runner, system.corpus(), models, *t.app, t.data, t.env, candidates,
-        threads));
+        serve::ScoringOptions{.threads = threads}));
   }
   LiteSystem::Recommendation off_rec = system.Recommend(*t.app, t.data, t.env);
 
@@ -112,9 +148,9 @@ DiffResult DiffObservabilityTransparency(
   recorder.Start();
   std::vector<std::vector<double>> on_scores;
   for (size_t threads : thread_counts) {
-    on_scores.push_back(ScoreCandidatesWithEnsemble(
+    on_scores.push_back(serve::ScoreCandidateSet(
         &runner, system.corpus(), models, *t.app, t.data, t.env, candidates,
-        threads));
+        serve::ScoringOptions{.threads = threads}));
   }
   LiteSystem::Recommendation on_rec = system.Recommend(*t.app, t.data, t.env);
   recorder.Stop();
@@ -306,8 +342,9 @@ DiffResult DiffQuantizationAccuracy(
   const std::string who = std::string(QuantBackendName(backend)) + "/" +
                           std::string(t.app->name);
 
-  std::vector<double> exact = ScoreCandidatesWithEnsemble(
-      runner, feature_space, models, *t.app, t.data, t.env, candidates, 1);
+  std::vector<double> exact = serve::ScoreCandidateSet(
+      runner, feature_space, models, *t.app, t.data, t.env, candidates,
+      serve::ScoringOptions{.threads = 1});
 
   // Thread-count invariance of the quantized path.
   std::vector<double> quant;
@@ -315,9 +352,9 @@ DiffResult DiffQuantizationAccuracy(
   std::vector<size_t> counts =
       thread_counts.empty() ? std::vector<size_t>{1} : thread_counts;
   for (size_t threads : counts) {
-    std::vector<double> scores = ScoreCandidatesWithEnsembleQuantized(
+    std::vector<double> scores = serve::ScoreCandidateSet(
         runner, feature_space, models, *t.app, t.data, t.env, candidates,
-        backend, threads);
+        serve::ScoringOptions{.threads = threads, .backend = backend});
     if (scores.size() != candidates.size()) {
       return Fail("quantized scoring returned " +
                   std::to_string(scores.size()) + " scores for " +
@@ -350,9 +387,9 @@ DiffResult DiffQuantizationAccuracy(
       for (const NecsModel* m : models) {
         m->Quantized(backend)->InvalidateCache();
       }
-      by_isa.push_back(ScoreCandidatesWithEnsembleQuantized(
+      by_isa.push_back(serve::ScoreCandidateSet(
           runner, feature_space, models, *t.app, t.data, t.env, candidates,
-          backend, 1));
+          serve::ScoringOptions{.threads = 1, .backend = backend}));
     }
     qk::SetKernelIsaForTest(saved);
     for (size_t i = 0; i < candidates.size(); ++i) {
@@ -390,35 +427,23 @@ DiffResult DiffQuantTransparency(
     const std::vector<const NecsModel*>& models, const WorkloadTuple& t,
     const std::vector<spark::Config>& candidates,
     const std::vector<size_t>& thread_counts) {
+  const std::vector<double> reference = ReferenceScores(
+      runner, feature_space, models, *t.app, t.data, t.env, candidates);
   for (size_t threads : thread_counts) {
-    std::vector<double> reference = ScoreCandidatesWithEnsemble(
-        runner, feature_space, models, *t.app, t.data, t.env, candidates,
-        threads);
     serve::ScoringOptions opts;
     opts.threads = threads;
-    std::vector<double> batched = serve::ScoreCandidateSet(
+    std::vector<double> scores = serve::ScoreCandidateSet(
         runner, feature_space, models, *t.app, t.data, t.env, candidates,
         opts);
-    opts.batched = false;
-    std::vector<double> scalar = serve::ScoreCandidateSet(
-        runner, feature_space, models, *t.app, t.data, t.env, candidates,
-        opts);
-    if (batched.size() != reference.size() ||
-        scalar.size() != reference.size()) {
+    if (scores.size() != reference.size()) {
       return Fail("score count drifted with the default backend at " +
                   std::to_string(threads) + " thread(s)");
     }
     for (size_t i = 0; i < reference.size(); ++i) {
-      if (batched[i] != reference[i]) {
+      if (scores[i] != reference[i]) {
         return Fail("candidate " + std::to_string(i) + " at " +
                     std::to_string(threads) +
-                    " thread(s): default-backend batched " + Fmt(batched[i]) +
-                    " != reference " + Fmt(reference[i]));
-      }
-      if (scalar[i] != reference[i]) {
-        return Fail("candidate " + std::to_string(i) + " at " +
-                    std::to_string(threads) +
-                    " thread(s): default-backend scalar " + Fmt(scalar[i]) +
+                    " thread(s): default-backend engine " + Fmt(scores[i]) +
                     " != reference " + Fmt(reference[i]));
       }
     }

@@ -1,9 +1,10 @@
-// Testkit differential layer: the repo now has three execution paths
-// (scalar NECS, batched NECS, resilient harness) and a persistence format
-// that all claim to agree. This header turns each agreement claim into a
-// checkable assertion:
+// Testkit differential layer: the repo has several execution paths
+// (scalar NECS, batched NECS, the block scoring engine, the resilient
+// harness) and a persistence format that all claim to agree. This header
+// turns each agreement claim into a checkable assertion:
 //
 //   * scalar PredictTarget vs batched PredictBatch — bit-identical;
+//   * the scoring engine vs the per-candidate reference — bit-identical;
 //   * ensemble candidate scoring across thread counts — bit-identical;
 //   * SparkRunner vs ResilientRunner with faults disabled — bit-identical;
 //   * LiteSystem vs its snapshot round-trip — identical recommendation and
@@ -31,12 +32,25 @@ struct DiffResult {
   std::string message;
 };
 
+/// The per-candidate reference scorer that serve::ScoreCandidateSet must
+/// reproduce: featurize each candidate on its own, predict every stage
+/// instance (one graph-building PredictTarget per stage on the exact
+/// backend, the twin's PredictBatch on a quantized one), sum seconds x reps
+/// in stage order, and take the ensemble mean in log space in member order.
+/// On the exact backend the engine must match it bit for bit.
+std::vector<double> ReferenceScores(
+    const spark::SparkRunner* runner, const Corpus& feature_space,
+    const std::vector<const NecsModel*>& models,
+    const spark::ApplicationSpec& app, const spark::DataSpec& data,
+    const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
+    QuantBackend backend = QuantBackend::kExactFp32);
+
 /// Scalar PredictTarget vs one PredictBatch call over `insts`: entry i must
 /// be bit-identical (the batched tower documents this contract).
 DiffResult DiffScalarVsBatch(const NecsModel& model,
                              std::span<const StageInstance> insts);
 
-/// ScoreCandidatesWithEnsemble across `thread_counts`: every thread count
+/// serve::ScoreCandidateSet across `thread_counts`: every thread count
 /// must produce bit-identical scores (ordered reduction contract).
 DiffResult DiffScoringThreadCounts(
     const spark::SparkRunner* runner, const Corpus& feature_space,
@@ -44,7 +58,7 @@ DiffResult DiffScoringThreadCounts(
     const std::vector<spark::Config>& candidates,
     const std::vector<size_t>& thread_counts);
 
-/// Observability transparency: ScoreCandidatesWithEnsemble and Recommend
+/// Observability transparency: serve::ScoreCandidateSet and Recommend
 /// must be bit-identical with observability disabled vs enabled (metrics +
 /// a live trace recording), for every thread count in `thread_counts`.
 /// Instrumentation may only observe the computation, never steer it.
@@ -123,10 +137,10 @@ DiffResult DiffQuantizationAccuracy(
     QuantAccuracyReport* report = nullptr);
 
 /// Quantized-backend transparency (the `quant_transparency` invariant):
-/// with the backend left at its kExactFp32 default, ScoreCandidateSet —
-/// batched and scalar — must be bit-identical to the pre-quantization
-/// ScoreCandidatesWithEnsemble reference for every thread count. Shipping
-/// the quantized kernels may not move one bit of the default serving path.
+/// with the backend left at its kExactFp32 default, ScoreCandidateSet must
+/// be bit-identical to the exact ReferenceScores for every thread count.
+/// Shipping the quantized kernels may not move one bit of the default
+/// serving path.
 DiffResult DiffQuantTransparency(
     const spark::SparkRunner* runner, const Corpus& feature_space,
     const std::vector<const NecsModel*>& models, const WorkloadTuple& t,

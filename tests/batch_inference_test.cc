@@ -1,7 +1,8 @@
-// Equivalence properties of the batched multi-threaded scoring path: the
-// batch tower pass, the encoder cache, the thread-pool sharding, and the
-// candidate dedupe must all be invisible in the numbers — same predictions,
-// same ranking, bit for bit.
+// Equivalence properties of the scoring engine: the batch tower pass, the
+// stacked candidate blocks, the encoder cache, the thread-pool sharding,
+// and the candidate dedupe must all be invisible in the numbers — same
+// predictions, same ranking, bit for bit, as the per-candidate reference
+// loop in testkit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +12,13 @@
 #include "lite/candidate_gen.h"
 #include "lite/lite_system.h"
 #include "lite/model_update.h"
+#include "serve/recommend_pipeline.h"
+#include "testkit/diff.h"
 
 namespace lite {
 namespace {
 
-LiteOptions SmallOptions(bool batched, size_t threads) {
+LiteOptions SmallOptions(size_t threads) {
   LiteOptions opts;
   opts.corpus.apps = {"TS", "PR"};
   opts.corpus.clusters = {spark::ClusterEnv::ClusterA()};
@@ -29,21 +32,26 @@ LiteOptions SmallOptions(bool batched, size_t threads) {
   opts.necs.gcn_hidden = 8;
   opts.train.epochs = 2;
   opts.num_candidates = 40;
-  opts.batched_scoring = batched;
   opts.scoring_threads = threads;
   return opts;
 }
 
 class BatchInferenceTest : public ::testing::Test {
  protected:
-  // Both systems train with identical seeds -> bit-identical weights; they
-  // differ only in the scoring path.
   static void SetUpTestSuite() {
     runner_ = new spark::SparkRunner();
-    batched_ = new LiteSystem(runner_, SmallOptions(true, 4));
-    batched_->TrainOffline();
-    scalar_ = new LiteSystem(runner_, SmallOptions(false, 1));
-    scalar_->TrainOffline();
+    system_ = new LiteSystem(runner_, SmallOptions(4));
+    system_->TrainOffline();
+  }
+
+  /// The per-candidate reference scores of `candidates` under system_.
+  static std::vector<double> Reference(
+      const spark::ApplicationSpec& app, const spark::DataSpec& data,
+      const spark::ClusterEnv& env,
+      const std::vector<spark::Config>& candidates) {
+    return testkit::ReferenceScores(runner_, system_->corpus(),
+                                    {system_->model()}, app, data, env,
+                                    candidates);
   }
 
   static std::vector<spark::Config> SomeCandidates(size_t count,
@@ -56,17 +64,15 @@ class BatchInferenceTest : public ::testing::Test {
   }
 
   static spark::SparkRunner* runner_;
-  static LiteSystem* batched_;
-  static LiteSystem* scalar_;
+  static LiteSystem* system_;
 };
 
 spark::SparkRunner* BatchInferenceTest::runner_ = nullptr;
-LiteSystem* BatchInferenceTest::batched_ = nullptr;
-LiteSystem* BatchInferenceTest::scalar_ = nullptr;
+LiteSystem* BatchInferenceTest::system_ = nullptr;
 
 TEST_F(BatchInferenceTest, PredictBatchMatchesLoopedPredictTarget) {
-  const NecsModel* model = batched_->model();
-  const auto& insts = batched_->corpus().instances;
+  const NecsModel* model = system_->model();
+  const auto& insts = system_->corpus().instances;
   ASSERT_GT(insts.size(), 4u);
   std::vector<double> batch = model->PredictBatch(insts);
   ASSERT_EQ(batch.size(), insts.size());
@@ -77,16 +83,16 @@ TEST_F(BatchInferenceTest, PredictBatchMatchesLoopedPredictTarget) {
 
 TEST_F(BatchInferenceTest, PredictBatchOfNothingIsEmpty) {
   std::vector<StageInstance> empty;
-  EXPECT_TRUE(batched_->model()->PredictBatch(empty).empty());
+  EXPECT_TRUE(system_->model()->PredictBatch(empty).empty());
 }
 
 TEST_F(BatchInferenceTest, BatchedAppSecondsMatchesBaseClassLoop) {
-  const NecsModel* model = batched_->model();
+  const NecsModel* model = system_->model();
   CorpusBuilder builder(runner_);
   const auto* app = spark::AppCatalog::Find("PR");
   spark::DataSpec data = app->MakeData(app->test_size_mb);
   CandidateEval ce = builder.FeaturizeCandidate(
-      batched_->corpus(), *app, data, spark::ClusterEnv::ClusterC(),
+      system_->corpus(), *app, data, spark::ClusterEnv::ClusterC(),
       spark::KnobSpace::Spark16().DefaultConfig());
   // The base-class aggregation over scalar PredictTarget calls.
   double scalar_total = 0.0;
@@ -104,26 +110,23 @@ TEST_F(BatchInferenceTest, ScoresIdenticalScalarVsBatchedAndAcrossThreads) {
   const auto* app = spark::AppCatalog::Find("TS");
   spark::DataSpec data = app->MakeData(app->test_size_mb);
   const spark::ClusterEnv env = spark::ClusterEnv::ClusterC();
-  std::vector<spark::Config> candidates = SomeCandidates(64, 91);
+  std::vector<const NecsModel*> models{system_->model()};
 
-  std::vector<double> legacy = scalar_->ScoreCandidates(*app, data, env, candidates);
-  std::vector<double> batched = batched_->ScoreCandidates(*app, data, env, candidates);
-  ASSERT_EQ(legacy.size(), batched.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i], batched[i]) << "candidate " << i;
-  }
-
-  // Thread count must not change a single bit of the reduction.
-  std::vector<const NecsModel*> models{batched_->model()};
-  std::vector<double> one_thread = ScoreCandidatesWithEnsemble(
-      runner_, batched_->corpus(), models, *app, data, env, candidates, 1);
-  for (size_t threads : {2u, 4u, 8u}) {
-    std::vector<double> many = ScoreCandidatesWithEnsemble(
-        runner_, batched_->corpus(), models, *app, data, env, candidates,
-        threads);
-    ASSERT_EQ(many.size(), one_thread.size());
-    for (size_t i = 0; i < many.size(); ++i) {
-      EXPECT_EQ(many[i], one_thread[i]) << "threads=" << threads << " i=" << i;
+  // Pool sizes on both sides of the engine's 32-candidate block edge, and
+  // one that splits into full blocks for every worker count. Neither the
+  // block composition nor the thread count may change a single bit.
+  for (size_t pool : {1u, 31u, 32u, 33u, 64u, 1000u}) {
+    std::vector<spark::Config> candidates = SomeCandidates(pool, 91);
+    std::vector<double> reference = Reference(*app, data, env, candidates);
+    ASSERT_EQ(reference.size(), pool);
+    EXPECT_EQ(system_->ScoreCandidates(*app, data, env, candidates),
+              reference)
+        << "pool=" << pool;
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      std::vector<double> scores = serve::ScoreCandidateSet(
+          runner_, system_->corpus(), models, *app, data, env, candidates,
+          serve::ScoringOptions{.threads = threads});
+      EXPECT_EQ(scores, reference) << "pool=" << pool << " threads=" << threads;
     }
   }
 }
@@ -134,12 +137,12 @@ TEST_F(BatchInferenceTest, ScoresIdenticalWithCacheColdOrWarm) {
   const spark::ClusterEnv env = spark::ClusterEnv::ClusterA();
   std::vector<spark::Config> candidates = SomeCandidates(32, 17);
 
-  batched_->model()->InvalidateCache();
-  std::vector<double> cold = batched_->ScoreCandidates(*app, data, env, candidates);
-  std::vector<double> warm = batched_->ScoreCandidates(*app, data, env, candidates);
-  batched_->model()->InvalidateCache();
+  system_->model()->InvalidateCache();
+  std::vector<double> cold = system_->ScoreCandidates(*app, data, env, candidates);
+  std::vector<double> warm = system_->ScoreCandidates(*app, data, env, candidates);
+  system_->model()->InvalidateCache();
   std::vector<double> cold_again =
-      batched_->ScoreCandidates(*app, data, env, candidates);
+      system_->ScoreCandidates(*app, data, env, candidates);
   for (size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(cold[i], warm[i]) << "i=" << i;
     EXPECT_EQ(cold[i], cold_again[i]) << "i=" << i;
@@ -150,8 +153,16 @@ TEST_F(BatchInferenceTest, RecommendationIdenticalScalarVsBatched) {
   const auto* app = spark::AppCatalog::Find("TS");
   spark::DataSpec data = app->MakeData(app->test_size_mb);
   const spark::ClusterEnv env = spark::ClusterEnv::ClusterC();
-  LiteSystem::Recommendation a = scalar_->Recommend(*app, data, env);
-  LiteSystem::Recommendation b = batched_->Recommend(*app, data, env);
+  // The recommend pipeline over the per-candidate reference scorer.
+  serve::PipelineContext ctx;
+  ctx.acg = &system_->candidate_generator();
+  ctx.num_candidates = system_->options().num_candidates;
+  ctx.seed = system_->options().seed;
+  LiteSystem::Recommendation a = serve::RunRecommendPipeline(
+      ctx, *app, data, env, [&](const std::vector<spark::Config>& cands) {
+        return Reference(*app, data, env, cands);
+      });
+  LiteSystem::Recommendation b = system_->Recommend(*app, data, env);
   EXPECT_EQ(a.config, b.config);
   EXPECT_EQ(a.predicted_seconds, b.predicted_seconds);
   EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated);
@@ -160,7 +171,7 @@ TEST_F(BatchInferenceTest, RecommendationIdenticalScalarVsBatched) {
 TEST_F(BatchInferenceTest, EncoderCacheFreshAfterAdaptiveUpdateStep) {
   // A model trained one more step must serve predictions from its new
   // weights, not from stale cached encodings.
-  LiteSystem fresh(runner_, SmallOptions(true, 2));
+  LiteSystem fresh(runner_, SmallOptions(2));
   fresh.TrainOffline();
   NecsModel* model = fresh.model();
   const StageInstance& inst = fresh.corpus().instances[0];
@@ -205,10 +216,10 @@ TEST_F(BatchInferenceTest, RecommendScoresAUniqueCandidateSet) {
 
   // Replay Recommend's internal sampling to count what it should score:
   // dedupe first, then the feasibility pre-check.
-  Rng rng(batched_->options().seed ^ std::hash<std::string>{}(app->name));
+  Rng rng(system_->options().seed ^ std::hash<std::string>{}(app->name));
   std::vector<spark::Config> sampled =
-      batched_->candidate_generator().SampleCandidates(
-          *app, data, env, batched_->options().num_candidates, &rng);
+      system_->candidate_generator().SampleCandidates(
+          *app, data, env, system_->options().num_candidates, &rng);
   std::vector<spark::Config> deduped = DedupeConfigs(sampled);
   std::set<spark::Config> unique(deduped.begin(), deduped.end());
   ASSERT_EQ(unique.size(), deduped.size());
@@ -218,9 +229,9 @@ TEST_F(BatchInferenceTest, RecommendScoresAUniqueCandidateSet) {
   }
   if (feasible.empty()) feasible = deduped;
 
-  LiteSystem::Recommendation rec = batched_->Recommend(*app, data, env);
+  LiteSystem::Recommendation rec = system_->Recommend(*app, data, env);
   EXPECT_EQ(rec.candidates_evaluated, feasible.size());
-  EXPECT_LE(rec.candidates_evaluated, batched_->options().num_candidates);
+  EXPECT_LE(rec.candidates_evaluated, system_->options().num_candidates);
 }
 
 }  // namespace

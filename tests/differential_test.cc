@@ -1,6 +1,6 @@
-// Differential suite: the three execution paths (scalar NECS, batched
-// NECS, resilient harness) and the snapshot/serialization round-trips must
-// agree bit for bit on random workload tuples. All randomness is replayable
+// Differential suite: the execution paths (scalar NECS, batched NECS, the
+// block scoring engine, resilient harness) and the snapshot/serialization
+// round-trips must agree bit for bit on random workload tuples. All randomness is replayable
 // via LITE_TEST_SEED.
 #include <gtest/gtest.h>
 
@@ -159,8 +159,8 @@ TEST_F(DifferentialTest, QuantizedBackendsStayWithinErrorBounds) {
 }
 
 // Shipping the quantized kernels may not move one bit of the default
-// serving path: backend off => ScoreCandidateSet (batched and scalar) is
-// bit-identical to the pre-quantization reference at every thread count.
+// serving path: backend off => ScoreCandidateSet is bit-identical to the
+// per-candidate reference loop at every thread count.
 TEST_F(DifferentialTest, QuantBackendOffIsTransparent) {
   testkit::TupleGenerator gen = CorpusGen(6);
   std::vector<const NecsModel*> models;

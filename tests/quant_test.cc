@@ -450,13 +450,20 @@ TEST_F(QuantTest, ScoringPlanPathIsBitIdenticalToSlowPath) {
     ASSERT_FALSE(ce.stage_instances.empty());
     for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
       const QuantizedNecs* twin = system_->model()->Quantized(mode);
-      QuantizedNecs::ScoringPlan plan = twin->BuildPlan(ce);
+      ScoringPlan plan = twin->BuildPlan(ce);
       EXPECT_EQ(plan.num_rows, ce.stage_instances.size());
       std::vector<double> knobs = space.Normalize(t.config);
       for (auto& inst : ce.stage_instances) inst.knobs = knobs;
       qk::Arena arena;
-      double fast = twin->ScoreWithKnobs(plan, knobs, &arena);
-      double slow = twin->PredictAppSeconds(ce);
+      double fast = 0.0;
+      twin->ScoreWithKnobsBlock(plan, {knobs}, 0, 1, &fast, &arena);
+      // The slow path: Eq. 5 over the twin's per-instance predictions.
+      std::vector<double> targets = twin->PredictBatch(ce.stage_instances);
+      double slow = 0.0;
+      for (size_t s = 0; s < targets.size(); ++s) {
+        slow += SecondsFromTarget(targets[s]) *
+                static_cast<double>(ce.stage_reps[s]);
+      }
       EXPECT_EQ(fast, slow)
           << QuantBackendName(mode) << " tuple " << t.Describe() << "; "
           << SeedNote();
@@ -517,15 +524,17 @@ TEST_F(QuantTest, Top1AgreementOnGolden45CellMatrix) {
          {spark::ClusterEnv::ClusterA(), spark::ClusterEnv::ClusterB(),
           spark::ClusterEnv::ClusterC()}) {
       ++cells;
-      std::vector<double> exact = ScoreCandidatesWithEnsemble(
-          runner_, system_->corpus(), models, app, data, env, pool, 1);
+      std::vector<double> exact = serve::ScoreCandidateSet(
+          runner_, system_->corpus(), models, app, data, env, pool,
+          serve::ScoringOptions{.threads = 1});
       size_t exact_best = 0;
       for (size_t i = 1; i < exact.size(); ++i) {
         if (exact[i] < exact[exact_best]) exact_best = i;
       }
       for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-        std::vector<double> quant = ScoreCandidatesWithEnsembleQuantized(
-            runner_, system_->corpus(), models, app, data, env, pool, mode, 1);
+        std::vector<double> quant = serve::ScoreCandidateSet(
+            runner_, system_->corpus(), models, app, data, env, pool,
+            serve::ScoringOptions{.threads = 1, .backend = mode});
         size_t quant_best = 0;
         for (size_t i = 1; i < quant.size(); ++i) {
           if (quant[i] < quant[quant_best]) quant_best = i;
@@ -558,18 +567,11 @@ TEST_F(QuantTest, BackendRoutingThroughScoreCandidateSet) {
     opts.backend = mode;
     std::vector<double> routed = serve::ScoreCandidateSet(
         runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, opts);
-    std::vector<double> direct = ScoreCandidatesWithEnsembleQuantized(
-        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, mode,
-        1);
-    EXPECT_EQ(routed, direct) << QuantBackendName(mode);
-
-    // Quantized + scalar loop is contradictory: warn and score exactly.
-    opts.batched = false;
-    std::vector<double> fallback = serve::ScoreCandidateSet(
-        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, opts);
-    std::vector<double> exact = ScoreCandidatesWithEnsemble(
-        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, 1);
-    EXPECT_EQ(fallback, exact) << QuantBackendName(mode);
+    // The backend's per-candidate reference: each twin's own predictions,
+    // ensembled exactly like the exact path.
+    std::vector<double> reference = testkit::ReferenceScores(
+        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, mode);
+    EXPECT_EQ(routed, reference) << QuantBackendName(mode);
   }
 }
 
@@ -596,12 +598,13 @@ TEST_F(QuantTest, QuantizedSnapshotRoundTripIsBitIdentical) {
 
   for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
     SCOPED_TRACE(QuantBackendName(mode));
-    std::vector<double> want = ScoreCandidatesWithEnsembleQuantized(
+    const serve::ScoringOptions opts{.threads = 1, .backend = mode};
+    std::vector<double> want = serve::ScoreCandidateSet(
         runner_, system_->corpus(), Models(), *t.app, t.data, t.env, pool,
-        mode, 1);
-    std::vector<double> got = ScoreCandidatesWithEnsembleQuantized(
+        opts);
+    std::vector<double> got = serve::ScoreCandidateSet(
         runner_, loaded->feature_space(), loaded_models, *t.app, t.data,
-        t.env, pool, mode, 1);
+        t.env, pool, opts);
     EXPECT_EQ(got, want) << "twins derived on load drifted; " << SeedNote();
   }
 }

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "lite/lite_system.h"
 #include "lite/snapshot.h"
 #include "lite/stage_head.h"
+#include "obs/metrics.h"
 #include "serve/tuning_service.h"
 #include "sparksim/application.h"
 #include "sparksim/cost_model.h"
@@ -448,6 +450,125 @@ TEST(LiteSystemStageTest, RetuneStagedHonoursObservations) {
   EXPECT_EQ(ret.staged.base, sr.staged.base);
   std::string why;
   EXPECT_TRUE(ValidateStagedConfig(ret.staged, *fx.app, &why)) << why;
+}
+
+// A re-tune whose correction is a new value featurizes the workload at a new
+// data size. The encoders read only the stage's code tokens and DAG, so the
+// re-plan must reuse the cached encodings instead of adding an entry per
+// stage per re-tune.
+TEST(LiteSystemStageTest, RetunesAtNewScalesAddNoEncoderCacheMisses) {
+  TrainedFixture& fx = TrainedFixture::Get();
+  const bool saved = obs::Enabled();
+  obs::SetEnabled(true);
+  LiteSystem::StagedRecommendation sr =
+      fx.system->RecommendStaged(*fx.app, fx.data, fx.env);
+  ASSERT_TRUE(sr.planned);
+  const spark::StageEvalFn predict =
+      MakeStageHeadEvalFactory(fx.system->stage_head(), fx.system->model(),
+                               &fx.runner, &fx.system->corpus(), fx.app,
+                               fx.data, &fx.env)(1.0);
+  const int reps = spark::StageReps(
+      *fx.app, 0, spark::ResolveIterations(*fx.app, fx.data));
+  const obs::Counter* misses = obs::MetricsRegistry::Global().GetCounter(
+      "necs_encoder_cache_misses_total");
+
+  // Observations of stage 0 at `factor` x the head's own prediction: every
+  // re-tune derives a different in-range correction.
+  std::set<double> corrections;
+  uint64_t after_first = 0;
+  for (int i = 0; i < 6; ++i) {
+    const double factor = 0.5 + 0.3 * i;
+    std::vector<StageEvent> observed;
+    for (int it = 0; it < reps; ++it) {
+      StageEvent e;
+      e.stage_index = 0;
+      e.iteration = it;
+      e.seconds =
+          predict(0, it, EffectiveConfig(sr.staged, 0)).seconds * factor;
+      observed.push_back(e);
+    }
+    spark::RetuneResult ret =
+        fx.system->RetuneStaged(*fx.app, fx.data, fx.env, sr.staged, observed);
+    ASSERT_TRUE(ret.ok);
+    corrections.insert(ret.correction);
+    if (i == 0) after_first = misses->Value();
+  }
+  const uint64_t after_all = misses->Value();
+  obs::SetEnabled(saved);
+  EXPECT_EQ(corrections.size(), 6u) << "corrections were not distinct";
+  EXPECT_EQ(after_all, after_first)
+      << "re-tunes at new data scales re-encoded their stages";
+}
+
+// The head-backed evaluator answers from template rows and a one-row tower
+// pass; every answer must be the head's own reference prediction bit for
+// bit, on every stage, at the original and at a rescaled data size.
+TEST(StageHeadEvalTest, EvaluatorMatchesHeadPredictionsBitForBit) {
+  TrainedFixture& fx = TrainedFixture::Get();
+  const StageHead* head = fx.system->stage_head();
+  ASSERT_NE(head, nullptr);
+  const NecsModel* encoder = fx.system->model();
+  const spark::StageEvalFactory factory = MakeStageHeadEvalFactory(
+      head, encoder, &fx.runner, &fx.system->corpus(), fx.app, fx.data,
+      &fx.env);
+  const KnobSpace& space = KnobSpace::Spark16();
+
+  // The planner's grid: each stage-tunable knob at 5 points over its range,
+  // on top of the default config.
+  std::vector<Config> grid = {space.DefaultConfig()};
+  for (size_t knob : spark::kStageTunableKnobs) {
+    const spark::KnobSpec& spec = space.spec(knob);
+    for (int g = 0; g < 5; ++g) {
+      Config c = space.DefaultConfig();
+      c[knob] = g == 4 ? spec.max_value
+                       : spec.min_value +
+                             (spec.max_value - spec.min_value) * g / 4.0;
+      grid.push_back(c);
+    }
+  }
+
+  for (double scale : {1.0, 1.7}) {
+    SCOPED_TRACE("scale " + std::to_string(scale));
+    spark::DataSpec scaled = fx.data;
+    scaled.size_mb = fx.data.size_mb * scale;
+    if (fx.data.num_rows > 0) {
+      scaled.num_rows =
+          std::llround(static_cast<double>(fx.data.num_rows) * scale);
+    }
+    const CandidateEval templ = CorpusBuilder(&fx.runner).FeaturizeCandidate(
+        fx.system->corpus(), *fx.app, scaled, fx.env, space.DefaultConfig());
+    const size_t num_stages = templ.stage_instances.size();
+    ASSERT_EQ(num_stages, fx.app->stages.size());
+    auto want = [&](size_t stage, const Config& config) {
+      StageInstance inst = templ.stage_instances[stage];
+      inst.knobs = space.Normalize(config);
+      return SecondsFromTarget(head->PredictTarget(*encoder, inst));
+    };
+
+    const spark::StageEvalFn eval = factory(scale);
+    for (size_t s = 0; s < num_stages; ++s) {
+      for (size_t g = 0; g < grid.size(); ++g) {
+        const double expected = want(s, grid[g]);
+        spark::StageEvalResult got = eval(s, 0, grid[g]);
+        EXPECT_FALSE(got.failed);
+        EXPECT_EQ(got.seconds, expected) << "stage " << s << " config " << g;
+        // The planner's next iteration asks the identical question.
+        spark::StageEvalResult again = eval(s, 1, grid[g]);
+        EXPECT_FALSE(again.failed);
+        EXPECT_EQ(again.seconds, expected) << "repeat, stage " << s;
+      }
+    }
+    // Alternating stages (and configs) between calls.
+    for (size_t i = 0; i < 4 * num_stages; ++i) {
+      const size_t s = i % num_stages;
+      const Config& c = grid[i % grid.size()];
+      EXPECT_EQ(eval(s, 0, c).seconds, want(s, c)) << "alternating, i=" << i;
+    }
+    // A stage the application does not have fails, and does not disturb
+    // the next answer.
+    EXPECT_TRUE(eval(num_stages, 0, grid[0]).failed);
+    EXPECT_EQ(eval(0, 0, grid[1]).seconds, want(0, grid[1]));
+  }
 }
 
 TEST(LiteSystemStageTest, DisabledByDefaultHasNoHead) {
