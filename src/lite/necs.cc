@@ -111,25 +111,6 @@ void ScoringPlan::SumStages(const float* y, size_t stride, size_t count,
   }
 }
 
-Tensor TowerForward(const std::vector<VarPtr>& params, Tensor x) {
-  for (size_t l = 0; l + 1 < params.size(); l += 2) {
-    const Tensor& w = params[l]->value;
-    const Tensor& b = params[l + 1]->value;
-    const bool hidden = l + 2 < params.size();
-    Tensor y(x.rows(), w.cols());
-    MatMul(x, w, &y);
-    for (size_t r = 0; r < y.rows(); ++r) {
-      for (size_t c = 0; c < y.cols(); ++c) {
-        float& v = y.at(r, c);
-        v += b[c];
-        if (hidden) v = v > 0.0f ? v : 0.0f;
-      }
-    }
-    x = std::move(y);
-  }
-  return x;
-}
-
 NecsModel::NecsModel(size_t token_vocab_size, size_t op_vocab_size,
                      NecsConfig config, uint64_t seed)
     : config_(config), op_vocab_size_(op_vocab_size) {
@@ -299,7 +280,7 @@ std::vector<double> NecsModel::PredictBatch(
     WriteTowerRow(insts[b], h_code.vec(), h_dag.vec(), in_dim,
                   x.data() + b * in_dim);
   }
-  Tensor pred = TowerForward(mlp_->Params(), std::move(x));
+  Tensor pred = mlp_->ForwardBatch(std::move(x));
   for (size_t b = 0; b < out.size(); ++b) out[b] = pred.at(b, 0);
   return out;
 }
@@ -329,7 +310,7 @@ void NecsModel::ScoreWithKnobsBlock(const ScoringPlan& plan,
   metrics.instances_predicted->Inc(rows);
   Tensor x(rows, plan.input_dim);
   plan.StackCandidates(knobs, begin, end, x.data());
-  Tensor y = TowerForward(mlp_->Params(), std::move(x));
+  Tensor y = mlp_->ForwardBatch(std::move(x));
   plan.SumStages(y.data(), 1, end - begin, out);
 }
 

@@ -93,14 +93,6 @@ struct ScoringPlan {
 void WriteTowerRow(const StageInstance& inst, std::span<const float> h_code,
                    std::span<const float> h_dag, size_t input_dim, float* row);
 
-/// Inference-only tower pass over stacked rows, without an autodiff graph.
-/// `params` are an Mlp's (W, b) pairs in layer order (Mlp::Params()), and
-/// every layer but the last is ReLU'd; not for sigmoid-headed towers. The
-/// arithmetic is Mlp::ForwardBatch's (lite::MatMul, the bias add, ReLU), so
-/// each output row is bit-identical to the graph-building forward of that
-/// row alone.
-Tensor TowerForward(const std::vector<VarPtr>& params, Tensor x);
-
 class NecsModel : public Module, public StageEstimator {
  public:
   /// `token_vocab_size` from the training TokenVocab (includes pad/oov);

@@ -26,17 +26,26 @@ size_t StageHead::input_dim() const {
   return code_dim_ + dag_dim_ + 4 + 6 + spark::kNumKnobs;
 }
 
+void StageHead::WriteRow(const NecsModel& encoder, const StageInstance& inst,
+                         float* row) const {
+  auto [h_code, h_dag] = encoder.StageEncodings(inst);
+  size_t off = 0;
+  for (float v : h_code.vec()) row[off++] = v;
+  for (float v : h_dag.vec()) row[off++] = v;
+  for (double v : inst.data_feat) row[off++] = static_cast<float>(v);
+  for (double v : inst.env_feat) row[off++] = static_cast<float>(v);
+  for (double v : inst.knobs) row[off++] = static_cast<float>(v);
+  LITE_CHECK(off == input_dim())
+      << "stage-head row width " << off << " != " << input_dim();
+}
+
 VarPtr StageHead::Assemble(const NecsModel& encoder,
                            const StageInstance& inst) const {
-  std::pair<Tensor, Tensor> enc = encoder.StageEncodings(inst);
-  // Input() wraps the encodings as constants: gradients stop here, the
-  // NECS towers stay frozen.
-  VarPtr h_code = Input(enc.first);
-  VarPtr h_dag = Input(enc.second);
-  VarPtr d = Input(Tensor::FromVector(inst.data_feat));
-  VarPtr e = Input(Tensor::FromVector(inst.env_feat));
-  VarPtr o = Input(Tensor::FromVector(inst.knobs));
-  return Concat({h_code, h_dag, d, e, o});
+  Tensor row(input_dim());
+  WriteRow(encoder, inst, row.data());
+  // Input() wraps the row as a constant: gradients stop here, the NECS
+  // towers stay frozen.
+  return Input(std::move(row));
 }
 
 double StageHead::PredictTarget(const NecsModel& encoder,
@@ -98,18 +107,15 @@ spark::StageEvalFactory MakeStageHeadEvalFactory(
       scaled.num_rows =
           std::llround(static_cast<double>(data.num_rows) * scale);
     }
-    // Featurize once per evaluator and freeze one head input row per stage
-    // in the head's column order [h_code, h_dag, data, env, knobs]: code
-    // tokens, DAGs, data and env features are knob-independent, so a query
-    // only writes the normalized knobs into a copy of its stage's row.
+    // Featurize once per evaluator and freeze one head input row per stage:
+    // code tokens, DAGs, data and env features are knob-independent, so a
+    // query only writes the normalized knobs into a copy of its stage's row.
     const CandidateEval templ =
         CorpusBuilder(runner).FeaturizeCandidate(
             *feature_space, *app, scaled, *env,
             spark::KnobSpace::Spark16().DefaultConfig());
     struct Evaluator {
-      std::vector<VarPtr> params;
-      std::vector<std::vector<float>> rows;
-      size_t knob_offset = 0;
+      std::vector<Tensor> rows;  // 1 x input_dim each.
       // The last answer: the planner asks the same (stage, config) once per
       // iteration, and the head ignores the iteration.
       size_t last_stage = SIZE_MAX;
@@ -117,39 +123,25 @@ spark::StageEvalFactory MakeStageHeadEvalFactory(
       spark::StageEvalResult last;
     };
     auto ev = std::make_shared<Evaluator>();
-    ev->params = head->Params();
-    ev->knob_offset = head->input_dim() - spark::kNumKnobs;
     for (const StageInstance& inst : templ.stage_instances) {
-      auto [h_code, h_dag] = encoder->StageEncodings(inst);
-      std::vector<float> row(head->input_dim(), 0.0f);
-      size_t off = 0;
-      for (float v : h_code.vec()) row[off++] = v;
-      for (float v : h_dag.vec()) row[off++] = v;
-      for (double v : inst.data_feat) row[off++] = static_cast<float>(v);
-      for (double v : inst.env_feat) row[off++] = static_cast<float>(v);
-      LITE_CHECK(off == ev->knob_offset)
-          << "stage-head row knob offset " << off << " != "
-          << ev->knob_offset;
+      Tensor row(1, head->input_dim());
+      head->WriteRow(*encoder, inst, row.data());
       ev->rows.push_back(std::move(row));
     }
-    return [ev](size_t stage_index, int /*iteration*/,
-                const spark::Config& config) -> spark::StageEvalResult {
+    return [head, ev](size_t stage_index, int /*iteration*/,
+                      const spark::Config& config) -> spark::StageEvalResult {
       if (stage_index >= ev->rows.size()) {
         return spark::StageEvalResult{0.0, true};
       }
       if (stage_index == ev->last_stage && config == ev->last_config) {
         return ev->last;
       }
-      // A one-row tower pass: bit-identical to PredictTarget on the
-      // template instance with knobs = Normalize(config).
-      Tensor x(1, ev->rows[stage_index].size());
-      std::copy(ev->rows[stage_index].begin(), ev->rows[stage_index].end(),
-                x.data());
+      Tensor x = ev->rows[stage_index];
       std::vector<double> knobs = spark::KnobSpace::Spark16().Normalize(config);
       for (size_t k = 0; k < knobs.size(); ++k) {
-        x[ev->knob_offset + k] = static_cast<float>(knobs[k]);
+        x[head->knob_offset() + k] = static_cast<float>(knobs[k]);
       }
-      Tensor y = TowerForward(ev->params, std::move(x));
+      Tensor y = head->PredictRows(std::move(x));
       ev->last_stage = stage_index;
       ev->last_config = config;
       ev->last = spark::StageEvalResult{

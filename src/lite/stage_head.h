@@ -49,6 +49,19 @@ class StageHead : public Module {
   double PredictTarget(const NecsModel& encoder,
                        const StageInstance& inst) const;
 
+  /// Writes `inst`'s head input [h_code, h_DAG, data, env, knobs] to the
+  /// input_dim() floats at `row`, with `encoder`'s cached encodings: the
+  /// one place that knows the head's column order.
+  void WriteRow(const NecsModel& encoder, const StageInstance& inst,
+                float* row) const;
+
+  /// Predicted log1p(stage seconds) of every row of `x` (B x input_dim(),
+  /// rows as WriteRow writes them) in one batched pass without an autodiff
+  /// graph; row b is bit-identical to PredictTarget on its instance.
+  Tensor PredictRows(Tensor x) const {
+    return mlp_->ForwardBatch(std::move(x));
+  }
+
   /// Minibatch Adam on the squared loss against inst.y, with `encoder`'s
   /// encodings frozen (no gradient flows into the NECS towers). Returns
   /// mean training loss per epoch.
@@ -60,6 +73,8 @@ class StageHead : public Module {
   size_t code_dim() const { return code_dim_; }
   size_t dag_dim() const { return dag_dim_; }
   size_t input_dim() const;
+  /// First knob column of a WriteRow row.
+  size_t knob_offset() const { return input_dim() - spark::kNumKnobs; }
 
  private:
   VarPtr Assemble(const NecsModel& encoder, const StageInstance& inst) const;
@@ -72,16 +87,16 @@ class StageHead : public Module {
 /// Head-backed StageEvalFactory for the per-stage planner
 /// (sparksim/stage_planner.h): factory(scale) featurizes the workload once
 /// at the rescaled datasize (size_mb x scale; num_rows too when explicit)
-/// and assembles one knob-free head input row per stage. The evaluator
-/// answers (stage, iteration, config) with a one-row tower pass under the
-/// candidate's normalized knobs, bit-identical to SecondsFromTarget of
-/// PredictTarget on that stage instance, and repeats its last answer when
-/// asked the same (stage, config) again (the head ignores the iteration).
-/// factory(1.0)
-/// featurizes the original DataSpec bit for bit, which is what makes the
-/// serving re-tune path inert when observations match predictions. Each
-/// evaluator is stateful and belongs to one planning call; all captured
-/// pointers must outlive the returned factory.
+/// and assembles one knob-free head input row per stage (WriteRow). The
+/// evaluator answers (stage, iteration, config) with a one-row PredictRows
+/// pass under the candidate's normalized knobs, bit-identical to
+/// SecondsFromTarget of PredictTarget on that stage instance, and repeats
+/// its last answer when asked the same (stage, config) again (the head
+/// ignores the iteration). factory(1.0) featurizes the original DataSpec
+/// bit for bit, which is what makes the serving re-tune path inert when
+/// observations match predictions. Each evaluator is stateful and belongs
+/// to one planning call on one thread; all captured pointers must outlive
+/// the returned factory.
 spark::StageEvalFactory MakeStageHeadEvalFactory(
     const StageHead* head, const NecsModel* encoder,
     const spark::SparkRunner* runner, const Corpus* feature_space,

@@ -28,6 +28,16 @@ VarPtr Linear::Forward(const VarPtr& x) const {
   return AddBias(MatMul(x, w_), b_);
 }
 
+Tensor Linear::Apply(const Tensor& x) const {
+  LITE_CHECK(x.rank() == 2 && x.shape()[1] == in_dim_) << "Linear input cols";
+  Tensor y(x.shape()[0], out_dim_);
+  MatMul(x, w_->value, &y);
+  for (size_t r = 0; r < y.rows(); ++r) {
+    for (size_t c = 0; c < out_dim_; ++c) y.at(r, c) += b_->value[c];
+  }
+  return y;
+}
+
 Mlp::Mlp(size_t input_dim, size_t num_hidden, size_t output_dim, Rng* rng,
          bool sigmoid_output)
     : input_dim_(input_dim), sigmoid_output_(sigmoid_output) {
@@ -58,17 +68,19 @@ MlpOutput Mlp::Forward(const VarPtr& x) const {
   return res;
 }
 
-VarPtr Mlp::ForwardBatch(const VarPtr& x) const {
-  using namespace ops;
-  LITE_CHECK(x->value.rank() == 2 && x->value.shape()[1] == input_dim_)
+Tensor Mlp::ForwardBatch(Tensor x) const {
+  LITE_CHECK(x.rank() == 2 && x.shape()[1] == input_dim_)
       << "ForwardBatch input must be B x " << input_dim_;
-  VarPtr h = x;
-  for (size_t l = 0; l + 1 < layers_.size(); ++l) {
-    h = Relu(layers_[l].Forward(h));
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    x = layers_[l].Apply(x);
+    // The element functions of ops::Relu and ops::Sigmoid.
+    if (l + 1 < layers_.size()) {
+      for (float& v : x.vec()) v = v > 0.0f ? v : 0.0f;
+    } else if (sigmoid_output_) {
+      for (float& v : x.vec()) v = 1.0f / (1.0f + std::exp(-v));
+    }
   }
-  VarPtr out = layers_.back().Forward(h);
-  if (sigmoid_output_) out = Sigmoid(out);
-  return out;
+  return x;
 }
 
 std::vector<VarPtr> Mlp::Params() const {

@@ -18,6 +18,10 @@ class Linear : public Module {
 
   VarPtr Forward(const VarPtr& x) const;
 
+  /// Inference-only x W + b over a B x in_dim batch, without an autodiff
+  /// graph: the same lite::MatMul and bias arithmetic as Forward.
+  Tensor Apply(const Tensor& x) const;
+
   std::vector<VarPtr> Params() const override { return {w_, b_}; }
   size_t in_dim() const { return in_dim_; }
   size_t out_dim() const { return out_dim_; }
@@ -48,12 +52,13 @@ class Mlp : public Module {
 
   MlpOutput Forward(const VarPtr& x) const;
 
-  /// Batched tower pass: `x` is B x input_dim, the result B x output_dim.
-  /// One matrix-matrix product per layer replaces B matrix-vector passes;
-  /// row b is bit-identical to Forward on row b alone (MatMul accumulates
-  /// per row in the same order regardless of batch size). Hidden
-  /// activations are not exposed — this is the inference fast path.
-  VarPtr ForwardBatch(const VarPtr& x) const;
+  /// Batched inference pass: `x` is B x input_dim, the result B x
+  /// output_dim. One matrix-matrix product per layer replaces B
+  /// matrix-vector passes and no autodiff graph is built; row b is
+  /// bit-identical to Forward on row b alone (MatMul accumulates every
+  /// output in k order regardless of batch size). Hidden activations are
+  /// not exposed — this is the inference fast path.
+  Tensor ForwardBatch(Tensor x) const;
 
   /// Convenience when hidden activations are not needed.
   VarPtr Predict(const VarPtr& x) const { return Forward(x).output; }

@@ -119,8 +119,9 @@ std::vector<double> ScoreCandidateSet(
   }
   // Block composition is invisible in the scores: every output row is
   // computed independently in both towers, so any block size and any
-  // thread count give the same bits.
-  const size_t workers = pool == nullptr ? 1 : pool->size();
+  // thread count give the same bits. ParallelFor runs blocks on the pool's
+  // workers and on the calling thread.
+  const size_t workers = pool == nullptr ? 1 : pool->size() + 1;
   const size_t block = std::min(kMaxBlock, (n + workers - 1) / workers);
   const size_t num_blocks = (n + block - 1) / block;
   auto score_block = [&](size_t b) {

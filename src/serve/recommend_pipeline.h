@@ -50,7 +50,8 @@ struct ScoringOptions {
 /// geometric mean over members, taken in log space). The application is
 /// featurized once, each member builds one ScoringPlan, and candidates are
 /// scored in blocks of min(32, ceil(n / workers)) sharded across the
-/// workers, so the output is deterministic for any thread count.
+/// workers (a pool's threads plus the calling thread), so the output is
+/// deterministic for any thread count.
 /// LiteSystem::ScoreCandidates and the snapshot/serving paths all delegate
 /// here.
 std::vector<double> ScoreCandidateSet(

@@ -1,10 +1,12 @@
 // Per-stage knob planning and AQE-style mid-job re-tuning.
 //
 // The planner is evaluator-abstracted: it searches per-stage overrides
-// against a StageEvalFn — a pure function (stage, iteration, config) ->
-// predicted seconds. Callers plug in either the simulator's quiet cost
-// model (oracle, benchmarks) or the NECS per-stage head (serving). Because
-// the cost model's RunStage is pure per stage, per-stage coordinate search
+// against a StageEvalFn — a deterministic function (stage, iteration,
+// config) -> predicted seconds that may keep state (the NECS stage-head
+// evaluator repeats its last answer), so the planner calls each one from
+// one thread. Callers plug in either the simulator's quiet cost model
+// (oracle, benchmarks) or the NECS per-stage head (serving). Because the
+// cost model's RunStage is pure per stage, per-stage coordinate search
 // decomposes exactly: improving one stage cannot hurt another, which is
 // what makes the `stage_override_dominance` oracle invariant hold by
 // construction.
@@ -50,7 +52,8 @@ struct StageEvalResult {
   bool failed = false;
 };
 
-/// Pure per-stage cost oracle: (stage index, iteration, effective config).
+/// Deterministic per-stage cost oracle: (stage index, iteration, effective
+/// config). It may keep state: call one instance from one thread at a time.
 using StageEvalFn =
     std::function<StageEvalResult(size_t, int, const Config&)>;
 

@@ -68,6 +68,26 @@ TEST(MlpTest, SigmoidOutputBounded) {
   EXPECT_LE(out->value[0], 1.0f);
 }
 
+TEST(MlpTest, ForwardBatchRowsMatchForwardBitForBit) {
+  for (bool sigmoid : {false, true}) {
+    Rng rng(6);
+    Mlp mlp(10, 3, 2, &rng, sigmoid);
+    Tensor x(static_cast<size_t>(5), static_cast<size_t>(10));
+    for (float& v : x.vec()) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
+    Tensor y = mlp.ForwardBatch(x);
+    ASSERT_EQ(y.shape()[0], 5u);
+    ASSERT_EQ(y.shape()[1], 2u);
+    for (size_t r = 0; r < 5; ++r) {
+      Tensor row(static_cast<size_t>(10));
+      for (size_t c = 0; c < 10; ++c) row[c] = x.at(r, c);
+      VarPtr one = mlp.Predict(Input(row));
+      for (size_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(y.at(r, c), one->value[c]) << "sigmoid=" << sigmoid;
+      }
+    }
+  }
+}
+
 TEST(TextCnnTest, ForwardShapeAndPadding) {
   Rng rng(6);
   TextCnnEncoder cnn(50, 8, {3, 4, 5}, 4, 16, &rng);

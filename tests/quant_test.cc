@@ -309,7 +309,7 @@ TEST(QuantizedMlpTest, ForwardBatchTracksExactMlp) {
   Mlp mlp(input_dim, 3, 1, &rng);
   Tensor x(batch, input_dim);
   for (float& v : x.vec()) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
-  Tensor exact = mlp.ForwardBatch(Input(x))->value;
+  Tensor exact = mlp.ForwardBatch(x);
 
   for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
     QuantizedMlp q = QuantizedMlp::From(mlp, mode);
