@@ -28,7 +28,7 @@ TextCnnEncoder::TextCnnEncoder(size_t vocab_size, size_t emb_dim,
   proj_ = std::make_unique<Linear>(kernels_per_width * widths_.size(), out_dim, rng);
 }
 
-VarPtr TextCnnEncoder::Forward(const std::vector<int>& token_ids) const {
+VarPtr TextCnnEncoder::Pooled(const std::vector<int>& token_ids) const {
   size_t max_w = *std::max_element(widths_.begin(), widths_.end());
   std::vector<int> ids = token_ids;
   while (ids.size() < max_w) ids.push_back(0);  // pad token.
@@ -39,28 +39,19 @@ VarPtr TextCnnEncoder::Forward(const std::vector<int>& token_ids) const {
     VarPtr conv = Conv1D(x, conv_w_[i], conv_b_[i], widths_[i]);
     pooled.push_back(MaxOverCols(conv));
   }
-  VarPtr q = Concat(pooled);
-  return Relu(proj_->Forward(q));  // Eq. 1: h_code = ReLU(W^CNN Q).
+  return Concat(pooled);
+}
+
+VarPtr TextCnnEncoder::Forward(const std::vector<int>& token_ids) const {
+  return Relu(proj_->Forward(Pooled(token_ids)));  // Eq. 1: ReLU(W^CNN Q).
 }
 
 VarPtr TextCnnEncoder::ForwardBatch(
     const std::vector<std::vector<int>>& sequences) const {
   LITE_CHECK(!sequences.empty()) << "ForwardBatch of nothing";
-  size_t max_w = *std::max_element(widths_.begin(), widths_.end());
   std::vector<VarPtr> qs;
   qs.reserve(sequences.size());
-  for (const auto& token_ids : sequences) {
-    std::vector<int> ids = token_ids;
-    while (ids.size() < max_w) ids.push_back(0);  // pad token.
-    VarPtr x = EmbeddingLookup(embedding_, ids, /*columns_are_tokens=*/true);
-    std::vector<VarPtr> pooled;
-    pooled.reserve(widths_.size());
-    for (size_t i = 0; i < widths_.size(); ++i) {
-      VarPtr conv = Conv1D(x, conv_w_[i], conv_b_[i], widths_[i]);
-      pooled.push_back(MaxOverCols(conv));
-    }
-    qs.push_back(Concat(pooled));
-  }
+  for (const auto& token_ids : sequences) qs.push_back(Pooled(token_ids));
   return Relu(proj_->Forward(StackRows(qs)));
 }
 

@@ -46,6 +46,9 @@ class TextCnnEncoder : public Module {
   const VarPtr& embedding() const { return embedding_; }
 
  private:
+  /// Q: pad -> embedding -> per-width Conv1D -> max pool, concatenated.
+  VarPtr Pooled(const std::vector<int>& token_ids) const;
+
   size_t emb_dim_, out_dim_;
   std::vector<size_t> widths_;
   size_t kernels_per_width_;

@@ -352,18 +352,18 @@ VarPtr Conv1D(const VarPtr& input, const VarPtr& weight, const VarPtr& bias,
   Tensor out(kernels, m);
   const float* x = input->value.data();
   const float* w = weight->value.data();
+  // Every output starts at its bias and adds its terms in (dim, offset)
+  // order; positions run innermost so each add is contiguous over them.
   for (size_t k = 0; k < kernels; ++k) {
-    const float* wk = w + k * d * width;
-    float b = bias->value[k];
-    for (size_t j = 0; j < m; ++j) {
-      float s = b;
-      // weight layout: [dim][offset-within-window].
-      for (size_t dd = 0; dd < d; ++dd) {
-        const float* xrow = x + dd * n + j;
-        const float* wrow = wk + dd * width;
-        for (size_t dx = 0; dx < width; ++dx) s += wrow[dx] * xrow[dx];
+    const float* wk = w + k * d * width;  // layout: [dim][offset].
+    float* ok = out.data() + k * m;
+    std::fill(ok, ok + m, bias->value[k]);
+    for (size_t dd = 0; dd < d; ++dd) {
+      for (size_t dx = 0; dx < width; ++dx) {
+        const float wv = wk[dd * width + dx];
+        const float* xrow = x + dd * n + dx;
+        for (size_t j = 0; j < m; ++j) ok[j] += wv * xrow[j];
       }
-      out.at(k, j) = s;
     }
   }
   auto node = MakeNode(std::move(out), {input, weight, bias});
@@ -375,6 +375,10 @@ VarPtr Conv1D(const VarPtr& input, const VarPtr& weight, const VarPtr& bias,
     const float* g = nd->grad.data();
     const float* x = xp->value.data();
     const float* w = wp->value.data();
+    // Positions with a non-zero gradient, ascending: the others add nothing,
+    // and behind MaxOverCols there is one per kernel.
+    std::vector<size_t> live;
+    live.reserve(m);
     for (size_t k = 0; k < kernels; ++k) {
       const float* gk = g + k * m;
       const float* wk = w + k * d * width;
@@ -384,15 +388,18 @@ VarPtr Conv1D(const VarPtr& input, const VarPtr& weight, const VarPtr& bias,
         for (size_t j = 0; j < m; ++j) s += gk[j];
         bp->grad[k] += s;
       }
+      live.clear();
+      for (size_t j = 0; j < m; ++j) {
+        if (gk[j] != 0.0f) live.push_back(j);
+      }
       for (size_t dd = 0; dd < d; ++dd) {
         const float* xrow = x + dd * n;
         float* dxrow = xp->requires_grad ? xp->grad.data() + dd * n : nullptr;
         for (size_t dx = 0; dx < width; ++dx) {
           float wv = wk[dd * width + dx];
           float dw = 0.0f;
-          for (size_t j = 0; j < m; ++j) {
+          for (size_t j : live) {
             float gj = gk[j];
-            if (gj == 0.0f) continue;
             dw += gj * xrow[j + dx];
             if (dxrow) dxrow[j + dx] += gj * wv;
           }

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <memory>
 
 #include "tensor/autodiff.h"
 #include "util/rng.h"
@@ -111,6 +114,140 @@ TEST(AutodiffTest, Conv1DGradient) {
   VarPtr w = Param(Tensor::Randn({2, 3 * 3}, &rng, 1.0f)); // 2 kernels, w=3.
   VarPtr b = Param(Tensor::Randn({2}, &rng, 1.0f));
   CheckGradients({x, w, b}, [&] { return SquareSum(Conv1D(x, w, b, 3)); });
+}
+
+// ---------------------------------------------------------------------------
+// Conv1D parity. The kernel must give every output and gradient element the
+// same float operations, in the same order, as the per-position reference
+// below, so the two agree bit for bit: signed zeros and NaNs included.
+
+/// One dependent add chain per output: bias, then (dim, offset) terms.
+Tensor ReferenceConv1D(const Tensor& x, const Tensor& w, const Tensor& bias,
+                       size_t width) {
+  size_t d = x.shape()[0], n = x.shape()[1], kernels = w.shape()[0];
+  size_t m = n - width + 1;
+  Tensor out(kernels, m);
+  for (size_t k = 0; k < kernels; ++k) {
+    const float* wk = w.data() + k * d * width;
+    for (size_t j = 0; j < m; ++j) {
+      float s = bias[k];
+      for (size_t dd = 0; dd < d; ++dd) {
+        const float* xrow = x.data() + dd * n + j;
+        const float* wrow = wk + dd * width;
+        for (size_t o = 0; o < width; ++o) s += wrow[o] * xrow[o];
+      }
+      out.at(k, j) = s;
+    }
+  }
+  return out;
+}
+
+/// Dense backward over every position, skipping zero upstream gradients.
+/// A null output is an operand that requires no gradient.
+void ReferenceConv1DBackward(const Tensor& g, const Tensor& x,
+                             const Tensor& w, size_t width, Tensor* dx,
+                             Tensor* dw, Tensor* db) {
+  size_t d = x.shape()[0], n = x.shape()[1], kernels = w.shape()[0];
+  size_t m = n - width + 1;
+  for (size_t k = 0; k < kernels; ++k) {
+    const float* gk = g.data() + k * m;
+    if (db) {
+      float s = 0.0f;
+      for (size_t j = 0; j < m; ++j) s += gk[j];
+      (*db)[k] += s;
+    }
+    for (size_t dd = 0; dd < d; ++dd) {
+      for (size_t o = 0; o < width; ++o) {
+        float wv = w.at(k, dd * width + o);
+        float sum = 0.0f;
+        for (size_t j = 0; j < m; ++j) {
+          float gj = gk[j];
+          if (gj == 0.0f) continue;
+          sum += gj * x.at(dd, j + o);
+          if (dx) dx->at(dd, j + o) += gj * wv;
+        }
+        if (dw) dw->at(k, dd * width + o) += sum;
+      }
+    }
+  }
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// A leaf whose gradient buffer already holds values, every third one -0.0,
+/// so accumulation onto a signed zero is compared too.
+VarPtr Leaf(std::vector<size_t> shape, bool requires_grad, Rng* rng) {
+  auto v = std::make_shared<Var>(Tensor::Randn(shape, rng, 1.0f),
+                                 requires_grad);
+  v->grad = Tensor::Randn(shape, rng, 1.0f);
+  for (size_t i = 0; i < v->numel(); i += 3) v->grad[i] = -0.0f;
+  return v;
+}
+
+enum class Upstream { kDense, kMaxPool, kAllZero, kSignedZeroAndNan };
+
+/// Runs Conv1D forward and backward once and compares the output and all
+/// three gradients with the reference, bit for bit.
+void CheckConvAgainstReference(size_t width, size_t n, size_t d,
+                               size_t kernels, Upstream up, bool x_param,
+                               bool wb_grad, Rng* rng) {
+  SCOPED_TRACE(::testing::Message()
+               << "width=" << width << " n=" << n << " d=" << d
+               << " kernels=" << kernels << " upstream=" << static_cast<int>(up)
+               << " x_param=" << x_param << " wb_grad=" << wb_grad);
+  VarPtr x = Leaf({d, n}, x_param, rng);
+  VarPtr w = Leaf({kernels, d * width}, wb_grad, rng);
+  VarPtr b = Leaf({kernels}, wb_grad, rng);
+  Tensor dx = x->grad, dw = w->grad, db = b->grad;
+  VarPtr conv = Conv1D(x, w, b, width);
+  EXPECT_TRUE(SameBits(conv->value,
+                       ReferenceConv1D(x->value, w->value, b->value, width)));
+
+  size_t m = n - width + 1;
+  if (up == Upstream::kDense || up == Upstream::kSignedZeroAndNan) {
+    conv->grad = Tensor::Randn({kernels, m}, rng, 1.0f);
+  }
+  if (up == Upstream::kSignedZeroAndNan) {
+    for (size_t i = 0; i < conv->numel(); i += 2) conv->grad[i] = -0.0f;
+    conv->grad[conv->numel() / 2] = std::numeric_limits<float>::quiet_NaN();
+  }
+  if (up == Upstream::kMaxPool) {  // one non-zero position per kernel.
+    VarPtr pooled = MaxOverCols(conv);
+    pooled->grad = Tensor::Randn({kernels}, rng, 1.0f);
+    pooled->backward_fn();
+  }
+  conv->backward_fn();
+  ReferenceConv1DBackward(conv->grad, x->value, w->value, width,
+                          x_param ? &dx : nullptr, wb_grad ? &dw : nullptr,
+                          wb_grad ? &db : nullptr);
+  EXPECT_TRUE(SameBits(x->grad, dx));
+  EXPECT_TRUE(SameBits(w->grad, dw));
+  EXPECT_TRUE(SameBits(b->grad, db));
+}
+
+TEST(Conv1DParityTest, MatchesPerPositionReferenceBitForBit) {
+  Rng rng(40);
+  for (size_t width = 1; width <= 5; ++width) {
+    for (size_t n : {width, size_t{128}}) {
+      for (size_t d : {1, 16}) {
+        for (size_t kernels : {1, 16}) {
+          for (Upstream up : {Upstream::kDense, Upstream::kMaxPool,
+                              Upstream::kAllZero,
+                              Upstream::kSignedZeroAndNan}) {
+            for (bool x_param : {true, false}) {
+              for (bool wb_grad : {true, false}) {
+                CheckConvAgainstReference(width, n, d, kernels, up, x_param,
+                                          wb_grad, &rng);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(AutodiffTest, PoolingGradients) {

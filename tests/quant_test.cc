@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lite/lite_system.h"
@@ -206,6 +208,30 @@ TEST_F(IsaParityTest, GemmsBitIdenticalAcrossIsas) {
     EXPECT_EQ(generic.second, avx2.second) << "half relu=" << relu;
   }
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+// The AVX2 kernels are pinned to 64-byte cache lines, so their timing does
+// not move when unrelated code changes size.
+TEST(KernelLayoutTest, Avx2KernelsStartOnCacheLines) {
+#define LITE_KERNEL(f) \
+  {#f, reinterpret_cast<std::uintptr_t>(&qk::detail::f)}
+  const std::pair<const char*, std::uintptr_t> kernels[] = {
+      LITE_KERNEL(Avx2RuntimeSupported),
+      LITE_KERNEL(DotInt8Avx2),
+      LITE_KERNEL(DotInt8MultiAvx2),
+      LITE_KERNEL(MaxAbsAvx2),
+      LITE_KERNEL(QuantizeActRowAvx2),
+      LITE_KERNEL(QuantizeActRowToInt16Avx2),
+      LITE_KERNEL(GemmInt8PanelsAvx2),
+      LITE_KERNEL(DotHalfAvx2),
+      LITE_KERNEL(DotHalfMultiAvx2),
+  };
+#undef LITE_KERNEL
+  for (const auto& [name, address] : kernels) {
+    EXPECT_EQ(address % 64, 0u) << name;
+  }
+}
+#endif
 
 TEST(GemmAccuracyTest, GemmsTrackTheFp32Reference) {
   Rng rng(testkit::SeedFromEnv() + 24);
